@@ -16,9 +16,9 @@ use crate::check::{Checker, ReissueOnce};
 use crate::trace::{counting_rebatching, CoreTrace, TracedBackend};
 use crate::{Measured, Tracing};
 
-pub const CAPACITY: usize = 1024;
+const CAPACITY: usize = 1024;
 /// Names held for the whole run: 90% of capacity.
-pub const PREFILL: usize = CAPACITY * 9 / 10;
+const PREFILL: usize = CAPACITY * 9 / 10;
 
 pub struct Inproc {
     service: NameService,

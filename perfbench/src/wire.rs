@@ -20,7 +20,7 @@ use crate::hist::Hist;
 use crate::trace::{counting_rebatching, CoreTrace, TracedBackend};
 use crate::{Measured, Tracing, THREADS};
 
-pub const CAPACITY: usize = 128;
+const CAPACITY: usize = 128;
 /// `wire-serial`: names a connection holds before it releases the oldest.
 const SERIAL_HOLD: usize = 4;
 /// `wire-pipelined`: acquires (and releases) per flush.
@@ -71,7 +71,7 @@ impl Conn {
 pub struct Wire {
     server: ServerHandle,
     conns: Vec<Conn>,
-    checker: Arc<Checker>,
+    checker: Checker,
     pub tracing: Option<Tracing>,
 }
 
@@ -100,7 +100,7 @@ impl Wire {
                 .expect("valid parameters");
             (service, None)
         };
-        let checker = Arc::new(Checker::new(service.namespace_size()));
+        let checker = Checker::new(service.namespace_size());
         let config = ServerConfig::default();
         assert!(
             config.handlers >= THREADS,
