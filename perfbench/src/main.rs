@@ -32,17 +32,20 @@ use crate::wire::{Shape, Wire};
 
 /// Client threads (in-process callers or connections) per workload.
 pub const THREADS: usize = 2;
-/// Length of one trial: a fresh set-up, measured this long. Where the
-/// scheduler places the threads differs from one set-up to the next (on
-/// a 2-core host a wire client and its handler share a core or not, a
-/// ±40% difference in round trip), so one long measurement reports
-/// whichever placement it drew. A run measures many short trials
-/// instead and reports the mean over them of each trial's figure, which
-/// moves in proportion to how often each placement came up.
+/// Length of one trial: a fresh set-up, measured this long by fresh
+/// caller threads. A set-up and its threads draw one of two speeds and
+/// mostly keep it (on a 2-core host: `wire-serial` acquires of ≈12 or
+/// ≈17 µs, `inproc-hot` releases of ≈0.08 or ≈0.15 µs), so one long
+/// measurement reports whichever it drew. A run measures many short
+/// trials instead and reports the median over them of each trial's
+/// figure: the speed most trials drew. A median rather than a mean,
+/// because a few trials that a host stall slowed several-fold move a
+/// mean but not a median. `perfbench/RESULTS.md` has the runs behind
+/// both choices.
 const TRIAL: Duration = Duration::from_millis(250);
 
 /// The end-to-end metrics each trial yields, with their units; a run
-/// reports the mean over its trials of each, and `setup_s`.
+/// reports the median over its trials of each, and `setup_s`.
 const FIGURES: [(&str, &str); 5] = [
     ("ops_per_s", "ops/s"),
     ("acquire_p50_us", "us"),
@@ -243,10 +246,10 @@ fn run_trials(
 }
 
 impl Trials {
-    /// The mean over the trials of `FIGURES[index]`.
-    fn mean_figure(&self, index: usize) -> f64 {
-        let sum: f64 = self.figures.iter().map(|f| f[index]).sum();
-        ratio(sum, self.figures.len() as f64)
+    /// The median over the trials of `FIGURES[index]`.
+    fn median_figure(&self, index: usize) -> f64 {
+        let mut values: Vec<f64> = self.figures.iter().map(|f| f[index]).collect();
+        median(&mut values)
     }
 }
 
@@ -407,7 +410,7 @@ fn end_to_end(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     let count = trials.figures.len() as u64;
     println!(
         "samples: acquire n={} release n={} over {:.3} s in {count} trials \
-         (per trial: acquire n={} release n={}); each metric is the mean over trials",
+         (per trial: acquire n={} release n={}); each metric is the median over trials",
         m.acquire.count(),
         m.release.count(),
         m.wall.as_secs_f64(),
@@ -415,24 +418,29 @@ fn end_to_end(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
         m.release.count() / count,
     );
     for (index, (name, unit)) in FIGURES.into_iter().enumerate() {
-        metrics.put(name, trials.mean_figure(index), unit);
+        metrics.put(name, trials.median_figure(index), unit);
     }
     let setup_s = median(&mut trials.setup_s);
     metrics.put("setup_s", setup_s, "s");
     vec![trials]
 }
 
-/// Traced run: untraced and traced trials, half the run each. A short
-/// loopback echo trial follows each untraced trial, so the echo floor is
-/// measured under the same host conditions as the `acquire_p50_us` it is
-/// set against, and summarised the same way: the mean of trial medians.
+/// Traced run: untraced and traced trials, half the run each. On the
+/// wire workloads a short loopback echo trial follows each untraced
+/// trial, so the echo floor is measured under the same host conditions
+/// as the `acquire_p50_us` it is set against, and summarised the same
+/// way: the median of trial medians. No call of `inproc-hot` crosses the
+/// network, so it measures no echo and reports the floor as 0.
 fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
+    let wire = args.workload.is_wire();
     let half = Duration::from_secs_f64(args.seconds / 2.0);
     let mut echo_p50s = Vec::new();
     let plain = run_trials(args.workload, args.seed, false, half, || {
-        echo_p50s.push(us(wire::echo_floor(TRIAL / 5).quantile_ns(0.5)));
+        if wire {
+            echo_p50s.push(us(wire::echo_floor(TRIAL / 5).quantile_ns(0.5)));
+        }
     });
-    let echo_us = ratio(echo_p50s.iter().sum(), echo_p50s.len() as f64);
+    let echo_us = if wire { median(&mut echo_p50s) } else { 0.0 };
     let traced = run_trials(args.workload, args.seed, true, half, || {});
     let core = traced.core.clone().expect("traced set-ups record the core");
     let t = &traced.measured;
@@ -461,7 +469,7 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     // In process the callers time `acquire_name`/`release_name`
     // directly. On the wire the server reaches the core through the
     // async facade instead, whose time sits in `net.unattributed_us`.
-    let (service_acquire, service_release, service_self) = if args.workload.is_wire() {
+    let (service_acquire, service_release, service_self) = if wire {
         (0.0, 0.0, 0.0)
     } else {
         let acquire = t.acquire.quantile_ns(0.5);
@@ -476,8 +484,8 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     metrics.put("service.self_ns_p50", service_self, "ns");
 
     metrics.put("net.echo_rtt_p50_us", echo_us, "us");
-    let acquire_p50_us = plain.mean_figure(ACQUIRE_P50);
-    let (codec, unattributed) = if args.workload.is_wire() {
+    let acquire_p50_us = plain.median_figure(ACQUIRE_P50);
+    let (codec, unattributed) = if wire {
         (
             ratio(t.codec_ns as f64, t.codec_frames as f64),
             acquire_p50_us - echo_us - us(core_acquire_ns),
@@ -489,11 +497,11 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     metrics.put("net.unattributed_us", unattributed, "us");
     metrics.put(
         "trace_overhead",
-        ratio(traced.mean_figure(OPS), plain.mean_figure(OPS)),
+        ratio(traced.median_figure(OPS), plain.median_figure(OPS)),
         "ratio",
     );
 
-    if args.workload.is_wire() {
+    if wire {
         print_budget(acquire_p50_us, echo_us, us(core_acquire_ns), unattributed);
     }
     vec![plain, traced]

@@ -1,12 +1,19 @@
 //! Smoke test of the benchmark itself: every workload, at the shortest
 //! run length, prints every metric BENCHMARK.json names, with its unit,
-//! passes its correctness check, and flags the seeded mutant.
+//! passes its correctness check, and flags the seeded mutant. The
+//! workloads are BENCHMARK.json's and [`DIAGNOSTIC`], which the benchmark
+//! runs but BENCHMARK.json does not gate.
 //!
 //! Run with `cargo test --release --manifest-path perfbench/Cargo.toml`.
 
 use std::process::{Command, Output};
 
 use serde_json::Value;
+
+/// The workload the benchmark runs for its latency budget but
+/// BENCHMARK.json leaves out: its medians drift with the host by more
+/// than the bounds.
+const DIAGNOSTIC: &str = "wire-serial";
 
 fn benchmark_json() -> Value {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
@@ -103,9 +110,13 @@ fn value_of(metrics: &[(String, Value)], name: &str) -> f64 {
 #[test]
 fn every_workload_prints_every_metric_with_its_unit() {
     let bench = benchmark_json();
+    let gated: Vec<&str> = array(&bench, "workloads")
+        .iter()
+        .map(|w| text(w, "name"))
+        .collect();
+    assert!(!gated.contains(&DIAGNOSTIC), "{DIAGNOSTIC} is gated");
     let mut probes = Vec::new();
-    for workload in array(&bench, "workloads") {
-        let workload = text(workload, "name");
+    for workload in gated.into_iter().chain([DIAGNOSTIC]) {
         let (_, end_to_end) = run(workload, "0");
         assert_metrics_match(workload, array(&bench, "end_to_end"), &end_to_end);
         for (name, _) in &end_to_end {
@@ -115,11 +126,11 @@ fn every_workload_prints_every_metric_with_its_unit() {
         let (report, per_layer) = run(workload, "1");
         assert_metrics_match(workload, array(&bench, "per_layer"), &per_layer);
         assert!(value_of(&per_layer, "core.names_won") > 0.0, "{workload}");
-        assert!(
-            value_of(&per_layer, "net.echo_rtt_p50_us") > 0.0,
-            "{workload}"
-        );
         if workload.starts_with("wire-") {
+            assert!(
+                value_of(&per_layer, "net.echo_rtt_p50_us") > 0.0,
+                "{workload}"
+            );
             assert!(
                 report.contains("latency budget of acquire_p50_us"),
                 "{report}"
@@ -139,7 +150,7 @@ fn every_workload_prints_every_metric_with_its_unit() {
             .expect("workload measured")
     };
     assert!(
-        probes_of("inproc-hot") > probes_of("wire-serial"),
+        probes_of("inproc-hot") > probes_of(DIAGNOSTIC),
         "90% occupancy must cost more probes per acquire than a near-empty server: {probes:?}"
     );
 }
