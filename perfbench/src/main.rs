@@ -432,15 +432,15 @@ fn end_to_end(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
 /// way: the median of trial medians. No call of `inproc-hot` crosses the
 /// network, so it measures no echo and reports the floor as 0.
 fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
-    let wire = args.workload.is_wire();
+    let on_wire = args.workload.is_wire();
     let half = Duration::from_secs_f64(args.seconds / 2.0);
     let mut echo_p50s = Vec::new();
     let plain = run_trials(args.workload, args.seed, false, half, || {
-        if wire {
+        if on_wire {
             echo_p50s.push(us(wire::echo_floor(TRIAL / 5).quantile_ns(0.5)));
         }
     });
-    let echo_us = if wire { median(&mut echo_p50s) } else { 0.0 };
+    let echo_us = if on_wire { median(&mut echo_p50s) } else { 0.0 };
     let traced = run_trials(args.workload, args.seed, true, half, || {});
     let core = traced.core.clone().expect("traced set-ups record the core");
     let t = &traced.measured;
@@ -469,7 +469,7 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     // In process the callers time `acquire_name`/`release_name`
     // directly. On the wire the server reaches the core through the
     // async facade instead, whose time sits in `net.unattributed_us`.
-    let (service_acquire, service_release, service_self) = if wire {
+    let (service_acquire, service_release, service_self) = if on_wire {
         (0.0, 0.0, 0.0)
     } else {
         let acquire = t.acquire.quantile_ns(0.5);
@@ -485,7 +485,7 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
 
     metrics.put("net.echo_rtt_p50_us", echo_us, "us");
     let acquire_p50_us = plain.median_figure(ACQUIRE_P50);
-    let (codec, unattributed) = if wire {
+    let (codec, unattributed) = if on_wire {
         (
             ratio(t.codec_ns as f64, t.codec_frames as f64),
             acquire_p50_us - echo_us - us(core_acquire_ns),
@@ -501,7 +501,7 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
         "ratio",
     );
 
-    if wire {
+    if on_wire {
         print_budget(acquire_p50_us, echo_us, us(core_acquire_ns), unattributed);
     }
     vec![plain, traced]
