@@ -13,6 +13,7 @@
 //! reports the end-to-end metrics, `--trace 1` the per-layer ones. See
 //! `perfbench/README.md` for what each workload and metric means.
 
+mod affinity;
 mod check;
 mod hist;
 mod inproc;
@@ -31,28 +32,43 @@ use crate::trace::{CoreSnapshot, CoreTrace, TasProbe};
 use crate::wire::{Shape, Wire};
 
 /// Client threads (in-process callers or connections) per workload.
-pub const THREADS: usize = 2;
-/// Length of one trial: a fresh set-up, measured this long by fresh
-/// caller threads. A set-up and its threads draw one of two speeds and
-/// mostly keep it (on a 2-core host: `wire-serial` acquires of ≈12 or
-/// ≈17 µs, `inproc-hot` releases of ≈0.08 or ≈0.15 µs), so one long
-/// measurement reports whichever it drew. A run measures many short
-/// trials instead and reports the median over them of each trial's
-/// figure: the speed most trials drew. A median rather than a mean,
-/// because a few trials that a host stall slowed several-fold move a
-/// mean but not a median. `perfbench/RESULTS.md` has the runs behind
-/// both choices.
+/// One: on a 2-core host a second caller made `inproc-hot` releases
+/// bimodal (≈0.08 or ≈0.15 µs per trial) and gave `wire-pipelined` four
+/// busy threads (two clients, two handlers) for two cores, so its
+/// figures measured the scheduler. `perfbench/RESULTS.md` has the runs.
+pub const THREADS: usize = 1;
+/// Length of one trial: a fresh set-up, measured this long by a fresh
+/// caller thread. A set-up and its threads can draw one of two speeds
+/// and mostly keep it (with two callers on a 2-core host: `wire-serial`
+/// acquires of ≈12 or ≈17 µs, `inproc-hot` releases of ≈0.08 or
+/// ≈0.15 µs), so one long measurement reports whichever it drew. A run
+/// measures many short trials instead and reports, for each trial
+/// figure, the mean of its middle 80% over the trials ([`TRIM`]). The
+/// host also runs in fast and slow phases that last seconds; a median
+/// over trials jumps with whichever phase held most of the run, while
+/// a mean moves in proportion to the mix. Trimming keeps the few trials
+/// a host stall slowed several-fold out of the mean.
+/// `perfbench/RESULTS.md` has the runs behind these choices.
 const TRIAL: Duration = Duration::from_millis(250);
+/// Share of the trials left out at each end before averaging a figure.
+const TRIM: f64 = 0.1;
 
-/// The end-to-end metrics each trial yields, with their units; a run
-/// reports the median over its trials of each, and `setup_s`.
-const FIGURES: [(&str, &str); 5] = [
+/// The figures each trial yields, with their units; a run reports the
+/// trimmed mean over its trials of each. The first [`GATED`] are end-to-end
+/// metrics, as is `setup_s`. The p99s after them are printed as report
+/// lines only: on `wire-pipelined` they spread by 23% over five runs of
+/// the same code where the p95s spread by 4–5% (`perfbench/RESULTS.md`):
+/// the slowest 1% of requests are likely the ones a host stall hit.
+const FIGURES: [(&str, &str); 7] = [
     ("ops_per_s", "ops/s"),
     ("acquire_p50_us", "us"),
-    ("acquire_p99_us", "us"),
+    ("acquire_p95_us", "us"),
     ("release_p50_us", "us"),
+    ("release_p95_us", "us"),
+    ("acquire_p99_us", "us"),
     ("release_p99_us", "us"),
 ];
+const GATED: usize = 5;
 const OPS: usize = 0;
 const ACQUIRE_P50: usize = 1;
 
@@ -108,12 +124,14 @@ impl Measured {
     }
 
     /// The values of [`FIGURES`], in order.
-    fn figures(&self) -> [f64; 5] {
+    fn figures(&self) -> [f64; 7] {
         [
             self.ops_per_s(),
             us(self.acquire.quantile_ns(0.5)),
-            us(self.acquire.quantile_ns(0.99)),
+            us(self.acquire.quantile_ns(0.95)),
             us(self.release.quantile_ns(0.5)),
+            us(self.release.quantile_ns(0.95)),
+            us(self.acquire.quantile_ns(0.99)),
             us(self.release.quantile_ns(0.99)),
         ]
     }
@@ -196,7 +214,7 @@ impl Instance {
 /// measured.
 #[derive(Default)]
 struct Trials {
-    figures: Vec<[f64; 5]>,
+    figures: Vec<[f64; 7]>,
     measured: Measured,
     /// Occupancy left after the trials' teardowns, summed (must be 0).
     occupancy: usize,
@@ -246,10 +264,10 @@ fn run_trials(
 }
 
 impl Trials {
-    /// The median over the trials of `FIGURES[index]`.
-    fn median_figure(&self, index: usize) -> f64 {
+    /// The trimmed mean over the trials of `FIGURES[index]`.
+    fn figure(&self, index: usize) -> f64 {
         let mut values: Vec<f64> = self.figures.iter().map(|f| f[index]).collect();
-        median(&mut values)
+        trimmed_mean(&mut values)
     }
 }
 
@@ -324,8 +342,7 @@ fn commit() -> String {
         .unwrap_or_else(|| format!("unknown ({reference} unresolved)"))
 }
 
-fn print_header(args: &Args) {
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+fn print_header(args: &Args, cores: usize, pinned: &Result<usize, String>) {
     println!(
         "# perfbench workload={} seed={} seconds={} trace={}",
         args.workload.name(),
@@ -339,6 +356,10 @@ fn print_header(args: &Args) {
         std::env::consts::ARCH,
         commit()
     );
+    match pinned {
+        Ok(core) => println!("# pinned to core {core}: every thread of the run shares it"),
+        Err(why) => println!("# not pinned ({why}): threads may spread over the cores"),
+    }
     println!(
         "# reproduce: cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
          --workload {} --seed {} --seconds {} --trace {}",
@@ -387,6 +408,14 @@ fn ratio(part: f64, whole: f64) -> f64 {
     }
 }
 
+/// The mean of `values` without the lowest and highest [`TRIM`] share.
+fn trimmed_mean(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let cut = (values.len() as f64 * TRIM) as usize;
+    let kept = &values[cut..values.len() - cut];
+    kept.iter().sum::<f64>() / kept.len().max(1) as f64
+}
+
 fn median(values: &mut [f64]) -> f64 {
     values.sort_by(f64::total_cmp);
     let mid = values.len() / 2;
@@ -410,18 +439,22 @@ fn end_to_end(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     let count = trials.figures.len() as u64;
     println!(
         "samples: acquire n={} release n={} over {:.3} s in {count} trials \
-         (per trial: acquire n={} release n={}); each metric is the median over trials",
+         (per trial: acquire n={} release n={}); each metric is the trimmed mean over trials, setup_s the median",
         m.acquire.count(),
         m.release.count(),
         m.wall.as_secs_f64(),
         m.acquire.count() / count,
         m.release.count() / count,
     );
-    for (index, (name, unit)) in FIGURES.into_iter().enumerate() {
-        metrics.put(name, trials.median_figure(index), unit);
+    for (index, (name, unit)) in FIGURES.into_iter().enumerate().take(GATED) {
+        metrics.put(name, trials.figure(index), unit);
     }
     let setup_s = median(&mut trials.setup_s);
     metrics.put("setup_s", setup_s, "s");
+    for (index, (name, unit)) in FIGURES.into_iter().enumerate().skip(GATED) {
+        let value = trials.figure(index);
+        println!("{name} = {value} {unit} (reported, not gated)");
+    }
     vec![trials]
 }
 
@@ -429,7 +462,7 @@ fn end_to_end(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
 /// wire workloads a short loopback echo trial follows each untraced
 /// trial, so the echo floor is measured under the same host conditions
 /// as the `acquire_p50_us` it is set against, and summarised the same
-/// way: the median of trial medians. No call of `inproc-hot` crosses the
+/// way: the trimmed mean of the echo trials' medians. No call of `inproc-hot` crosses the
 /// network, so it measures no echo and reports the floor as 0.
 fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     let on_wire = args.workload.is_wire();
@@ -440,7 +473,11 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
             echo_p50s.push(us(wire::echo_floor(TRIAL / 5).quantile_ns(0.5)));
         }
     });
-    let echo_us = if on_wire { median(&mut echo_p50s) } else { 0.0 };
+    let echo_us = if on_wire {
+        trimmed_mean(&mut echo_p50s)
+    } else {
+        0.0
+    };
     let traced = run_trials(args.workload, args.seed, true, half, || {});
     let core = traced.core.clone().expect("traced set-ups record the core");
     let t = &traced.measured;
@@ -484,7 +521,7 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     metrics.put("service.self_ns_p50", service_self, "ns");
 
     metrics.put("net.echo_rtt_p50_us", echo_us, "us");
-    let acquire_p50_us = plain.median_figure(ACQUIRE_P50);
+    let acquire_p50_us = plain.figure(ACQUIRE_P50);
     let (codec, unattributed) = if on_wire {
         (
             ratio(t.codec_ns as f64, t.codec_frames as f64),
@@ -497,7 +534,7 @@ fn per_layer(args: &Args, metrics: &mut Metrics) -> Vec<Trials> {
     metrics.put("net.unattributed_us", unattributed, "us");
     metrics.put(
         "trace_overhead",
-        ratio(traced.median_figure(OPS), plain.median_figure(OPS)),
+        ratio(traced.figure(OPS), plain.figure(OPS)),
         "ratio",
     );
 
@@ -537,7 +574,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    print_header(&args);
+    // Read before pinning, which narrows it to 1.
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let pinned = affinity::pin_to_one_core();
+    print_header(&args, cores, &pinned);
     let mut metrics = Metrics::default();
     let runs = if args.trace {
         per_layer(&args, &mut metrics)

@@ -314,8 +314,9 @@ fn nanos(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Round-trip times of a bare framed echo over loopback: [`THREADS`]
-/// connections, one `Acquire`-sized frame in flight each, through the
+/// Round-trip times of a bare framed echo over loopback: as many
+/// connections as the workloads use ([`THREADS`]), one `Acquire`-sized
+/// frame in flight each, through the
 /// same codec and buffering as the clients above.
 pub fn echo_floor(duration: Duration) -> Hist {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind the echo listener");

@@ -74,6 +74,10 @@ fn run(workload: &str, trace: &str) -> (String, Vec<(String, Value)>) {
             "{workload}: no {needle:?} in\n{stdout}"
         );
     }
+    assert!(
+        stdout.contains("# pinned to core ") || stdout.contains("# not pinned ("),
+        "{workload}: the header does not say whether the run is pinned:\n{stdout}"
+    );
     let metrics = match last.get("metrics") {
         Some(Value::Object(pairs)) => pairs.clone(),
         other => panic!("metrics: {other:?}"),
@@ -117,8 +121,14 @@ fn every_workload_prints_every_metric_with_its_unit() {
     assert!(!gated.contains(&DIAGNOSTIC), "{DIAGNOSTIC} is gated");
     let mut probes = Vec::new();
     for workload in gated.into_iter().chain([DIAGNOSTIC]) {
-        let (_, end_to_end) = run(workload, "0");
+        let (report, end_to_end) = run(workload, "0");
         assert_metrics_match(workload, array(&bench, "end_to_end"), &end_to_end);
+        for line in ["acquire_p99_us = ", "release_p99_us = "] {
+            assert!(
+                report.contains(line),
+                "{workload}: no {line:?} in\n{report}"
+            );
+        }
         for (name, _) in &end_to_end {
             assert!(value_of(&end_to_end, name) > 0.0, "{workload}: {name} is 0");
         }
