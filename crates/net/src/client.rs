@@ -4,8 +4,8 @@
 //! session: names it acquires are released by the server if the
 //! connection drops. Calls are synchronous request/response except
 //! [`Client::acquire_many`], which pipelines a batch of acquires in one
-//! flush (the shape the server's handler feeds to the combiner as a
-//! single `drive_all` batch).
+//! flush (the shape the server's handler serves with a single
+//! `NameService::acquire_many` batch).
 
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};

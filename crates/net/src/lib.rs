@@ -14,9 +14,9 @@
 //! * [`server`] — [`NameServer`]: a `std::net::TcpListener` front-end
 //!   with a bounded connection-handler pool, per-connection sessions
 //!   (a dropped connection releases every name it held — RAII over the
-//!   wire), pipelined acquires driven through the async facade via
-//!   [`exec::drive_all`](renaming_service::exec::drive_all), and a
-//!   `Stats` endpoint serving live occupancy, worker counts and
+//!   wire), each run of pipelined acquires served by one
+//!   [`NameService::acquire_many`](renaming_service::NameService::acquire_many)
+//!   batch, and a `Stats` endpoint serving live occupancy, worker counts and
 //!   latency histograms as JSON;
 //! * [`client`] — [`Client`]: a small blocking client speaking the
 //!   protocol, with pipelined batch acquire;
@@ -30,7 +30,7 @@
 //! vendored dependency set stays exactly as it is. Blocking sockets
 //! plus the service's own flat-combining batching turn out to be all a
 //! renaming server needs: one handler thread drains a connection's
-//! pipelined requests and feeds them to the combiner *together*.
+//! pipelined requests and serves their acquires as *one* batch sweep.
 //!
 //! # Quickstart
 //!

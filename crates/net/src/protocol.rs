@@ -239,27 +239,59 @@ impl Response {
     /// Encodes the response payload (frame the result with
     /// [`write_frame`]).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response payload to `out` — the one response
+    /// encoder; [`encode`](Self::encode) wraps it. A caller that reuses
+    /// `out` encodes without allocating.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Name(name) => {
-                let mut out = Vec::with_capacity(10);
-                out.push(PROTOCOL_VERSION);
-                out.push(RESPONSE_OK_BIT | OP_ACQUIRE);
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_ACQUIRE]);
                 out.extend_from_slice(&name.to_le_bytes());
-                out
             }
-            Response::Released => vec![PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_RELEASE],
+            Response::Released => {
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_RELEASE]);
+            }
             Response::Stats(value) => {
-                let mut out = vec![PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_STATS];
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_STATS]);
                 out.extend_from_slice(value.to_string().as_bytes());
-                out
             }
-            Response::ShuttingDown => vec![PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_SHUTDOWN],
+            Response::ShuttingDown => {
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_SHUTDOWN]);
+            }
             Response::Error { status, detail } => {
-                let mut out = vec![PROTOCOL_VERSION, RESPONSE_ERR, *status as u8];
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_ERR, *status as u8]);
                 out.extend_from_slice(detail.as_bytes());
-                out
             }
         }
+    }
+
+    /// Appends the response to `out` as one whole frame: the bytes
+    /// [`write_frame`] writes for [`encode`](Self::encode)'s payload,
+    /// without the intermediate payload buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Oversized`] if the payload exceeds
+    /// [`MAX_FRAME_LEN`]; `out` is then left as it was.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        self.encode_into(out);
+        let len = out.len() - start - 4;
+        if len > MAX_FRAME_LEN as usize {
+            out.truncate(start);
+            return Err(ProtocolError::Oversized {
+                len: u32::try_from(len).unwrap_or(u32::MAX),
+                max: MAX_FRAME_LEN,
+            });
+        }
+        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(())
     }
 
     /// Decodes a response payload.
@@ -634,6 +666,24 @@ mod tests {
         let big = vec![0u8; MAX_FRAME_LEN as usize + 1];
         assert!(matches!(
             write_frame(&mut Vec::new(), &big),
+            Err(WireError::Protocol(ProtocolError::Oversized { .. }))
+        ));
+    }
+
+    #[test]
+    fn oversized_response_frames_are_rejected_and_leave_the_buffer_alone() {
+        let response = Response::Error {
+            status: Status::Malformed,
+            detail: "x".repeat(MAX_FRAME_LEN as usize),
+        };
+        let mut out = b"earlier".to_vec();
+        assert!(matches!(
+            response.encode_frame_into(&mut out),
+            Err(ProtocolError::Oversized { max: MAX_FRAME_LEN, .. })
+        ));
+        assert_eq!(out, b"earlier", "a rejected frame appends nothing");
+        assert!(matches!(
+            write_frame(&mut Vec::new(), &response.encode()),
             Err(WireError::Protocol(ProtocolError::Oversized { .. }))
         ));
     }

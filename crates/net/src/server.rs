@@ -1,5 +1,5 @@
 //! The TCP server: bounded handler pool, per-connection sessions, and
-//! pipelined acquires through the async facade.
+//! pipelined acquires served as one batch.
 //!
 //! # Connection lifecycle
 //!
@@ -9,11 +9,14 @@
 //!                                            ▼
 //!                      ┌─ read a batch of ≤ max_pipeline frames
 //!                      │  (first blocks with a timeout so shutdown is
-//!                      │   noticed; the rest only if already buffered)
-//!                      ├─ consecutive Acquires drive TOGETHER through
-//!                      │  exec::drive_all — the combiner sees them as
-//!                      │  one batch, which is the whole point
-//!                      ├─ write all responses, in request order; flush
+//!                      │   noticed; the rest only if already buffered,
+//!                      │   decoded in place from the read buffer)
+//!                      ├─ each run of consecutive Acquires is ONE
+//!                      │  NameService::acquire_many call — one
+//!                      │  acquire_batch sweep through the combiner,
+//!                      │  which is the whole point
+//!                      ├─ encode all responses, in request order, into
+//!                      │  one reused buffer; one write
 //!                      └─ repeat until EOF / Shutdown / framing error
 //!                               │
 //!                               ▼
@@ -44,18 +47,18 @@
 //! [`NameGuard`](renaming_service::NameGuard) drops; network callers
 //! get it from their socket closing.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use renaming_service::{exec, AsyncNameService, Name, NameService};
+use renaming_service::{Name, NameService};
 use serde_json::{json, Value};
 
 use crate::protocol::{
-    read_frame, write_frame, ProtocolError, Request, Response, Status, WireError, MAX_FRAME_LEN,
+    read_frame, ProtocolError, Request, Response, Status, WireError, MAX_FRAME_LEN,
 };
 
 /// Tuning knobs for a [`NameServer`]. `Default` is sized for tests and
@@ -68,8 +71,10 @@ pub struct ServerConfig {
     /// load generator) want `handlers >=` their connection count.
     pub handlers: usize,
     /// Per-connection in-flight request cap: the most frames a handler
-    /// decodes before answering them. Consecutive `Acquire`s within a
-    /// batch are driven through the combiner together.
+    /// decodes before answering them. Each run of consecutive
+    /// `Acquire`s within a batch is served by one
+    /// [`NameService::acquire_many`] call, so this also caps the size
+    /// of one batch sweep.
     pub max_pipeline: usize,
     /// Bound of the accepted-but-unserved connection queue.
     pub pending_connections: usize,
@@ -94,7 +99,7 @@ impl Default for ServerConfig {
 /// State shared by the accept loop, every handler, and the handle.
 #[derive(Debug)]
 struct Shared {
-    service: AsyncNameService,
+    service: NameService,
     config: ServerConfig,
     addr: SocketAddr,
     shutdown: AtomicBool,
@@ -131,9 +136,8 @@ pub struct NameServer {
 }
 
 impl NameServer {
-    /// Binds a listener and wraps `service` for serving. The service is
-    /// consumed: the server owns it (behind the async facade) for its
-    /// lifetime.
+    /// Binds a listener and takes `service` for serving. The service is
+    /// consumed: the server owns it for its lifetime.
     ///
     /// # Errors
     ///
@@ -154,7 +158,7 @@ impl NameServer {
         Ok(NameServer {
             listener,
             shared: Arc::new(Shared {
-                service: AsyncNameService::new(service),
+                service,
                 config,
                 addr,
                 shutdown: AtomicBool::new(false),
@@ -173,7 +177,7 @@ impl NameServer {
 
     /// The wrapped service (e.g. for asserting occupancy in tests).
     pub fn service(&self) -> &NameService {
-        self.shared.service.service()
+        &self.shared.service
     }
 
     /// Serves on the calling thread until a `Shutdown` request (or
@@ -262,7 +266,7 @@ impl ServerHandle {
     /// the server runs — e.g. reading the concurrency oracle's verdict
     /// after wire traffic has drained.
     pub fn service(&self) -> &NameService {
-        self.shared.service.service()
+        &self.shared.service
     }
 
     /// Signals shutdown and waits for every handler to finish (and thus
@@ -331,7 +335,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     // a server wants a release-capable backend, which all built-ins
     // are.)
     for name in session.drain(..) {
-        let _ = shared.service.service().release_name(name);
+        let _ = shared.service.release_name(name);
     }
     if matches!(outcome, Err(WireError::Protocol(_))) {
         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -361,11 +365,14 @@ fn wait_for_data(reader: &mut BufReader<TcpStream>) -> Wait {
     }
 }
 
-fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<(), WireError> {
+fn serve(shared: &Shared, mut stream: TcpStream, session: &mut Vec<Name>) -> Result<(), WireError> {
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(shared.config.read_timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    // Reused across bursts: once they have grown to a burst's size, the
+    // frame path allocates nothing.
+    let mut requests: Vec<Result<Request, ProtocolError>> = Vec::new();
+    let mut out: Vec<u8> = Vec::new();
     loop {
         match wait_for_data(&mut reader) {
             Wait::Data => {}
@@ -380,22 +387,20 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
         }
         // Drain what is already buffered, up to the in-flight cap —
         // this cap is the innermost backpressure layer.
-        let mut batch: Vec<Vec<u8>> = Vec::new();
+        requests.clear();
         loop {
-            match read_frame(&mut reader, MAX_FRAME_LEN)? {
-                Some(payload) => batch.push(payload),
+            match next_request(&mut reader)? {
+                Some(request) => requests.push(request),
                 None => return Ok(()),
             }
-            if batch.len() >= shared.config.max_pipeline || reader.buffer().is_empty() {
+            if requests.len() >= shared.config.max_pipeline || reader.buffer().is_empty() {
                 break;
             }
         }
-        shared.requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let (responses, shutdown_now) = answer_batch(shared, session, &batch);
-        for response in &responses {
-            write_frame(&mut writer, &response.encode())?;
-        }
-        writer.flush()?;
+        shared.requests.fetch_add(requests.len() as u64, Ordering::Relaxed);
+        out.clear();
+        let shutdown_now = answer_batch(shared, session, &requests, &mut out)?;
+        stream.write_all(&out)?;
         if shutdown_now {
             shared.begin_shutdown();
             return Ok(());
@@ -403,95 +408,107 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
     }
 }
 
-/// Decodes and answers one batch of request payloads, in order.
-/// Consecutive `Acquire`s are driven through the async facade together
-/// so the combiner sees them as one batch.
+/// Reads and decodes the connection's next request; `None` on a clean
+/// EOF. A frame already whole in the read buffer is decoded in place;
+/// one that straddles the buffer's end goes through [`read_frame`],
+/// which checks the length prefix against [`MAX_FRAME_LEN`] before it
+/// allocates.
+fn next_request(
+    reader: &mut BufReader<TcpStream>,
+) -> Result<Option<Result<Request, ProtocolError>>, WireError> {
+    let buffered = reader.buffer();
+    if let Some(prefix) = buffered.first_chunk::<4>() {
+        let len = u32::from_le_bytes(*prefix);
+        let end = 4 + len as usize;
+        if len <= MAX_FRAME_LEN && buffered.len() >= end {
+            let request = Request::decode(&buffered[4..end]);
+            reader.consume(end);
+            return Ok(Some(request));
+        }
+    }
+    Ok(read_frame(reader, MAX_FRAME_LEN)?.map(|payload| Request::decode(&payload)))
+}
+
+/// Answers one batch of decoded requests, in order, appending each
+/// response's frame to `out`. Each run of consecutive `Acquire`s is
+/// served by one [`NameService::acquire_many`] call — one batch sweep
+/// through the combiner. Returns whether the batch asked for shutdown.
 fn answer_batch(
     shared: &Shared,
     session: &mut Vec<Name>,
-    batch: &[Vec<u8>],
-) -> (Vec<Response>, bool) {
-    let requests: Vec<Result<Request, ProtocolError>> =
-        batch.iter().map(|payload| Request::decode(payload)).collect();
-    let mut responses = Vec::with_capacity(requests.len());
+    requests: &[Result<Request, ProtocolError>],
+    out: &mut Vec<u8>,
+) -> Result<bool, ProtocolError> {
     let mut shutdown_now = false;
     let mut i = 0;
     while i < requests.len() {
         if shutdown_now {
-            responses.push(Response::Error {
+            Response::Error {
                 status: Status::ShuttingDown,
                 detail: "server is shutting down".to_string(),
-            });
+            }
+            .encode_frame_into(out)?;
             i += 1;
             continue;
         }
         match &requests[i] {
             Ok(Request::Acquire) => {
-                let mut j = i + 1;
-                while j < requests.len() && matches!(requests[j], Ok(Request::Acquire)) {
-                    j += 1;
+                let count = requests[i..]
+                    .iter()
+                    .take_while(|request| matches!(request, Ok(Request::Acquire)))
+                    .count();
+                let first = session.len();
+                // The names won go straight into the session; on a
+                // partial batch the rest of the run answers the error.
+                let result = shared.service.acquire_many(count, session);
+                for name in &session[first..] {
+                    Response::Name(name.value() as u64).encode_frame_into(out)?;
                 }
-                let count = j - i;
-                let start = Instant::now();
-                let outcomes = exec::drive_all((0..count).map(|_| shared.service.acquire()));
-                let elapsed = start.elapsed();
-                // The async facade publishes straight into combiner
-                // slots, bypassing `acquire_name` and its metrics hook
-                // — so the server records the acquire latency itself:
-                // each request in the batch waited the batch's wall
-                // time from dequeue to completion.
-                if let Some(metrics) = shared.service.service().metrics() {
-                    for _ in 0..count {
-                        metrics.acquire.record(elapsed);
+                if let Err(error) = result {
+                    let response = Response::from_error(&error);
+                    for _ in session.len() - first..count {
+                        response.encode_frame_into(out)?;
                     }
                 }
-                for outcome in outcomes {
-                    match outcome {
-                        Ok(guard) => {
-                            let name = guard.into_name();
-                            responses.push(Response::Name(name.value() as u64));
-                            session.push(name);
-                        }
-                        Err(error) => responses.push(Response::from_error(&error)),
-                    }
-                }
-                i = j;
+                i += count;
                 continue;
             }
             Ok(Request::Release { name }) => {
-                match session.iter().position(|held| held.value() as u64 == *name) {
+                let response = match session.iter().position(|held| held.value() as u64 == *name) {
                     Some(pos) => {
                         let held = session.swap_remove(pos);
-                        match shared.service.service().release_name(held) {
-                            Ok(()) => responses.push(Response::Released),
-                            Err(error) => responses.push(Response::from_error(&error)),
+                        match shared.service.release_name(held) {
+                            Ok(()) => Response::Released,
+                            Err(error) => Response::from_error(&error),
                         }
                     }
-                    None => responses.push(Response::Error {
+                    None => Response::Error {
                         status: Status::NotHeld,
                         detail: format!("name {name} is not held by this connection"),
-                    }),
-                }
+                    },
+                };
+                response.encode_frame_into(out)?;
             }
             Ok(Request::Stats) => {
-                responses.push(Response::Stats(stats_json(shared, session.len())));
+                Response::Stats(stats_json(shared, session.len())).encode_frame_into(out)?;
             }
             Ok(Request::Shutdown) => {
-                responses.push(Response::ShuttingDown);
+                Response::ShuttingDown.encode_frame_into(out)?;
                 shutdown_now = true;
             }
             Err(error) => {
                 // The frame boundary held, so the stream can resync:
                 // answer Malformed and keep the connection.
-                responses.push(Response::Error {
+                Response::Error {
                     status: Status::Malformed,
                     detail: error.to_string(),
-                });
+                }
+                .encode_frame_into(out)?;
             }
         }
         i += 1;
     }
-    (responses, shutdown_now)
+    Ok(shutdown_now)
 }
 
 /// One latency histogram as JSON: count, mean, interpolated p50/p99,
@@ -518,7 +535,7 @@ fn histogram_json(snapshot: &renaming_service::HistogramSnapshot) -> Value {
 /// (when it was built with the concurrency oracle) the oracle's
 /// event-counter summary.
 fn stats_json(shared: &Shared, session_held: usize) -> Value {
-    let service = shared.service.service();
+    let service = &shared.service;
     let latency = match service.metrics() {
         Some(metrics) => {
             let snap = metrics.snapshot();

@@ -49,8 +49,35 @@ fn arb_response() -> impl Strategy<Value = Response> {
     )
 }
 
+/// [`arb_response`] plus `Stats` answers with a small JSON body.
+fn arb_response_with_stats() -> impl Strategy<Value = Response> {
+    (arb_response(), any::<u64>(), any::<bool>()).prop_map(|(response, n, stats)| {
+        if stats {
+            Response::Stats(serde_json::json!({ "occupancy": n, "nested": { "held": [n, 1] } }))
+        } else {
+            response
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The server frames responses with `encode_frame_into`, straight
+    /// into a reused output buffer; the bytes it appends must be exactly
+    /// what `write_frame` writes for `encode`'s payload, whatever the
+    /// buffer already holds — so the wire format cannot drift.
+    #[test]
+    fn encode_frame_into_matches_write_frame(
+        response in arb_response_with_stats(),
+        earlier in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut expected = earlier.clone();
+        write_frame(&mut expected, &response.encode()).unwrap();
+        let mut framed = earlier;
+        response.encode_frame_into(&mut framed).unwrap();
+        prop_assert_eq!(framed, expected);
+    }
 
     /// Garbage payload bytes: decoding must return a structured error
     /// or a valid message — never panic. Both decoders run on the same

@@ -1,6 +1,7 @@
 //! Over-the-wire integration tests: exhaustion as a graceful status,
 //! RAII release of a dropped connection's names, malformed traffic,
-//! pipelining, and graceful shutdown — all against a real server on a
+//! pipelining (split frames, bursts beyond the in-flight cap, oversized
+//! prefixes), and graceful shutdown — all against a real server on a
 //! loopback ephemeral port.
 
 use std::io::Write as _;
@@ -8,7 +9,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use renaming_net::{
-    write_frame, Client, ClientError, NameServer, Request, ServerConfig, ServerHandle, Status,
+    read_frame, write_frame, Client, ClientError, NameServer, Request, Response, ServerConfig,
+    ServerHandle, Status, MAX_FRAME_LEN,
 };
 use renaming_service::{AcquireMode, Algorithm, NameService, SeedPolicy};
 use serde_json::Value;
@@ -282,6 +284,154 @@ fn wire_churn_yields_a_clean_oracle_verdict() {
     assert!(verdict.history.complete, "history replays to completion");
     assert_eq!(verdict.history.wins, expected_wins);
     assert_eq!(verdict.history.released(), expected_wins);
+    handle.stop().expect("stop");
+}
+
+/// Reads one response frame off a raw connection.
+fn read_response(reader: &mut std::io::BufReader<TcpStream>) -> Response {
+    let payload = read_frame(reader, MAX_FRAME_LEN)
+        .expect("response frame")
+        .expect("connection still open");
+    Response::decode(&payload).expect("decodes")
+}
+
+/// Reads `count` acquire answers and then one `Stats` answer: every
+/// acquire must carry a name, the names must be distinct, and the
+/// `Stats` answer — the last request sent — must come last and count
+/// them all in the connection's session.
+fn expect_names_then_stats(reader: &mut std::io::BufReader<TcpStream>, count: usize) {
+    let mut names = Vec::with_capacity(count);
+    for i in 0..count {
+        match read_response(reader) {
+            Response::Name(name) => names.push(name),
+            other => panic!("answer {i}: expected a name, got {other:?}"),
+        }
+    }
+    let mut distinct = names.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), count, "names must be distinct: {names:?}");
+    match read_response(reader) {
+        Response::Stats(stats) => {
+            let held = stats.get("session").and_then(|s| s.get("held")).and_then(Value::as_u64);
+            assert_eq!(held, Some(count as u64), "{stats}");
+        }
+        other => panic!("expected the Stats answer last, got {other:?}"),
+    }
+}
+
+/// One request's frame, length prefix included.
+fn frame(request: &Request) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &request.encode()).expect("frame");
+    bytes
+}
+
+/// Frames that straddle reads: a length prefix split in two writes, and
+/// its payload arriving in a third write together with the next frames.
+/// The server decodes whole buffered frames in place and falls back to
+/// the blocking frame read for a partial one; either way every request
+/// is answered, in order.
+#[test]
+fn frames_split_across_writes_are_answered_in_order() {
+    let handle = spawn_server(Algorithm::Rebatching, 16);
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut raw = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+
+    let acquire = frame(&Request::Acquire);
+    let (prefix, payload) = acquire.split_at(4);
+    let pause = || std::thread::sleep(Duration::from_millis(50));
+    // A whole frame plus half of the next prefix...
+    raw.write_all(&[acquire.as_slice(), &prefix[..2]].concat()).expect("write");
+    pause();
+    // ...the rest of that prefix alone...
+    raw.write_all(&prefix[2..]).expect("write");
+    pause();
+    // ...then its payload, one more whole frame and a Stats request.
+    raw.write_all(&[payload, acquire.as_slice(), &frame(&Request::Stats)].concat())
+        .expect("write");
+    expect_names_then_stats(&mut reader, 3);
+
+    // A prefix whose payload arrives in a later write on its own.
+    raw.write_all(prefix).expect("write");
+    pause();
+    raw.write_all(&[payload, &frame(&Request::Stats)].concat()).expect("write");
+    match read_response(&mut reader) {
+        Response::Name(_) => {}
+        other => panic!("expected a name, got {other:?}"),
+    }
+    match read_response(&mut reader) {
+        Response::Stats(stats) => {
+            let held = stats.get("session").and_then(|s| s.get("held")).and_then(Value::as_u64);
+            assert_eq!(held, Some(4), "{stats}");
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    drop(raw);
+    drop(reader);
+    handle.stop().expect("stop");
+}
+
+/// A burst larger than `max_pipeline` in one write: the server answers
+/// it in capped batches, in request order, with distinct names.
+#[test]
+fn burst_beyond_max_pipeline_is_answered_in_order() {
+    let handle = spawn_server(Algorithm::Rebatching, 64);
+    assert_eq!(ServerConfig::default().max_pipeline, 32);
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut raw = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+
+    let mut burst = Vec::new();
+    for _ in 0..40 {
+        burst.extend_from_slice(&frame(&Request::Acquire));
+    }
+    burst.extend_from_slice(&frame(&Request::Stats));
+    raw.write_all(&burst).expect("one write");
+    expect_names_then_stats(&mut reader, 40);
+    drop(raw);
+    drop(reader);
+
+    let mut observer = Client::connect(handle.addr()).expect("connect");
+    let stats = poll_stats(&mut observer, |s| occupancy(s) == 0);
+    assert_eq!(occupancy(&stats), 0, "the closed session drains: {stats}");
+    handle.stop().expect("stop");
+}
+
+/// An oversized length prefix is a framing error: the server ends the
+/// connection without allocating the announced payload — also when it
+/// sits in the read buffer behind a whole frame — and counts it in
+/// `protocol_errors`.
+#[test]
+fn oversized_prefix_ends_the_connection_and_counts_a_protocol_error() {
+    let handle = spawn_server(Algorithm::Rebatching, 8);
+    let mut observer = Client::connect(handle.addr()).expect("connect");
+    let oversized = (MAX_FRAME_LEN + 1).to_le_bytes();
+    let protocol_errors = |stats: &Value| {
+        stats
+            .get("server")
+            .and_then(|s| s.get("protocol_errors"))
+            .and_then(Value::as_u64)
+            .expect("stats carry server.protocol_errors")
+    };
+    for (expected, bytes) in [
+        (1, oversized.to_vec()),
+        (2, [frame(&Request::Acquire).as_slice(), &oversized].concat()),
+    ] {
+        let stream = TcpStream::connect(handle.addr()).expect("connect");
+        let mut raw = stream.try_clone().expect("clone");
+        raw.write_all(&bytes).expect("write");
+        let mut reader = std::io::BufReader::new(stream);
+        assert!(
+            matches!(read_frame(&mut reader, MAX_FRAME_LEN), Ok(None) | Err(_)),
+            "the server must close the connection"
+        );
+        let stats = poll_stats(&mut observer, |s| protocol_errors(s) == expected);
+        assert_eq!(protocol_errors(&stats), expected, "{stats}");
+        assert_eq!(occupancy(&stats), 0, "{stats}");
+    }
     handle.stop().expect("stop");
 }
 

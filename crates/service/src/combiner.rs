@@ -362,6 +362,31 @@ impl Combiner {
         }
     }
 
+    /// Acquires `count` names for one caller, appending them to `out`
+    /// ([`NameService::acquire_many`]). A won lock serves the whole
+    /// batch in one `acquire_batch` sweep on the resident session, then
+    /// drains any request that queued behind it. A busy lock means
+    /// another combiner is active: fall back to per-name
+    /// [`acquire`](Self::acquire)s, which queue into its drain.
+    pub(crate) fn acquire_many(
+        &self,
+        service: &NameService,
+        count: usize,
+        out: &mut Vec<Name>,
+    ) -> Result<(), RenamingError> {
+        if self.try_lock() {
+            let mut worker = self.take_resident(service);
+            let result = worker.session.acquire_batch(count, &mut worker.rng, out);
+            self.drain_and_release(service, worker);
+            return result;
+        }
+        self.note_contention();
+        for _ in 0..count {
+            out.push(self.acquire(service)?);
+        }
+        Ok(())
+    }
+
     /// Serves the calling acquirer as the combiner. The caller holds
     /// the combiner lock; it is released before returning. Shared by
     /// the sync fast path and the async future's first poll.

@@ -3,9 +3,8 @@
 //! The workspace vendors no async runtime (and the facade needs none:
 //! [`AcquireFuture`](crate::AcquireFuture) is hand-rolled over std's
 //! `Waker`/`Poll` machinery), so anything that holds an
-//! [`AsyncNameService`](crate::AsyncNameService) — examples, tests,
-//! experiment 18, and the `renaming-net` server's connection handlers —
-//! needs a way to drive futures to completion. This module provides the
+//! [`AsyncNameService`](crate::AsyncNameService) — examples, tests and
+//! experiment 18 — needs a way to drive futures to completion. This module provides the
 //! two smallest correct shapes:
 //!
 //! * [`block_on`] — park the calling thread until one future resolves:
@@ -105,8 +104,10 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
 /// wake to one future; with batch sizes in the tens, precise routing
 /// would be all bookkeeping and no benefit), parking when a full pass
 /// leaves all of them pending. This interleaves many in-flight
-/// acquires on one thread — the pipelined connection-handler shape the
-/// `renaming-net` server runs per batch.
+/// acquires on one thread — a pipelined connection-handler shape. (The
+/// `renaming-net` server serves its batches with the sync
+/// [`NameService::acquire_many`](crate::NameService::acquire_many)
+/// instead.)
 ///
 /// # Example
 ///

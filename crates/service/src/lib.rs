@@ -17,7 +17,10 @@
 //! * [`NameService`] — the thread-safe front-end, built via
 //!   [`NameServiceBuilder`]: internal per-worker session pooling and
 //!   [`renaming_core::FastRng`] streams, so callers just write
-//!   `let guard = service.acquire()?` from any thread;
+//!   `let guard = service.acquire()?` from any thread, or take a
+//!   whole batch of raw names in one sweep with
+//!   [`NameService::acquire_many`] (what the `renaming-net` server's
+//!   pipelined bursts use);
 //! * [`AsyncNameService`] — the same service behind `acquire().await`:
 //!   a hand-rolled [`Future`](std::future::Future) (std
 //!   `Waker`/`Poll` only, no external runtime) that publishes into the
@@ -25,8 +28,7 @@
 //!   parking, with [`AsyncNameGuard`] for mode-independent RAII release;
 //! * [`exec`] — minimal, documented executors ([`exec::block_on`],
 //!   [`exec::drive_all`]) for driving the async facade without any
-//!   runtime — what connection handlers (e.g. the `renaming-net`
-//!   server) and tests use;
+//!   runtime — what the async example and tests use;
 //! * [`ServiceMetrics`] — opt-in latency histograms
 //!   ([`NameServiceBuilder::metrics`]): fixed-bucket log₂
 //!   [`LatencyHistogram`]s with relaxed-counter increments, zero cost

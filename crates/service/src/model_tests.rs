@@ -230,3 +230,69 @@ fn real_combiner_two_acquirers_stay_conservative() {
     );
     report.assert_clean();
 }
+
+/// The wire server's batch call against a single sync acquire: one
+/// thread takes two names through `NameService::acquire_many` (a won
+/// combiner lock serves both in one `acquire_batch` sweep; a lost one
+/// falls back to per-name combining acquires) while another thread
+/// takes one through the combining `acquire_name`. Run under the same
+/// interleaving cap as the two-acquirer suite plus a seeded random
+/// tail: in every interleaving
+/// the three names held together are distinct, and once both threads
+/// are joined every worker is pooled, retired or resident.
+#[test]
+fn real_combiner_batch_races_a_single_acquire() {
+    let report = Checker::new()
+        .max_interleavings(400)
+        .max_steps(20_000)
+        // The DFS window varies late scheduling choices; the seeded
+        // random tail is what preempts the batcher before its lock CAS,
+        // sending it down the contended per-name fallback too.
+        .random_iterations(200)
+        .check(|| {
+            let service = Arc::new(
+                crate::NameService::builder(crate::Algorithm::Rebatching, 8)
+                    .acquire_mode(crate::AcquireMode::Combining)
+                    .seed_policy(crate::SeedPolicy::Fixed(7))
+                    .build()
+                    .expect("build"),
+            );
+
+            let batcher = {
+                let service = Arc::clone(&service);
+                thread::spawn(move || {
+                    let mut names = Vec::new();
+                    service.acquire_many(2, &mut names).expect("within capacity");
+                    names
+                })
+            };
+            let single = {
+                let service = Arc::clone(&service);
+                thread::spawn(move || service.acquire_name().expect("within capacity"))
+            };
+            let mut names = batcher.join().unwrap();
+            assert_eq!(names.len(), 2, "the batch returns every name it asked for");
+            names.push(single.join().unwrap());
+            let mut values: Vec<usize> = names.iter().map(|name| name.value()).collect();
+            values.sort_unstable();
+            values.dedup();
+            assert_eq!(values.len(), 3, "names held together must be distinct");
+            for name in names {
+                service.release_name(name).expect("release");
+            }
+            assert_eq!(service.held(), 0, "every name released");
+
+            assert_eq!(
+                service.pooled_workers() as u64
+                    + service.retired_workers()
+                    + service.resident_workers() as u64,
+                service.worker_count() as u64,
+                "worker conservation violated after quiescence"
+            );
+        });
+    println!(
+        "service-model/combiner-batch-vs-single: {} interleavings (complete: {})",
+        report.interleavings, report.complete
+    );
+    report.assert_clean();
+}

@@ -414,6 +414,82 @@ impl NameService {
         result
     }
 
+    /// Acquires `count` raw names in one batched sweep, appending them
+    /// to `out` — the paper's `BatchCall` shape for a caller that holds
+    /// several requests at once (the wire server's pipelined bursts).
+    /// The caller owns every name appended and is responsible for its
+    /// eventual [`release_name`](Self::release_name).
+    ///
+    /// In [`AcquireMode::Direct`] this is one pool checkout, one
+    /// [`PooledSession::acquire_batch`], one checkin. In
+    /// [`AcquireMode::Combining`] an uncontended caller takes the
+    /// combiner role and serves the batch on the resident session (then
+    /// drains whatever queued behind it); a contended one falls back to
+    /// per-name combining acquires. A batch of one drives the session
+    /// exactly as [`acquire_name`](Self::acquire_name) does, so
+    /// fixed-seed single-threaded sequences are the same either way.
+    ///
+    /// With metrics on, every name counts as one acquire sample of the
+    /// batch's wall time; with the oracle on, every name records its own
+    /// start and win (or fail).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RenamingError::NamespaceExhausted`] when the namespace
+    /// cannot hold the whole batch. The names already won stay acquired
+    /// and are left in `out`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use renaming_service::{Algorithm, NameService};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let service = NameService::builder(Algorithm::Rebatching, 8).build()?;
+    /// let mut names = Vec::new();
+    /// service.acquire_many(4, &mut names)?;
+    /// assert_eq!(service.held(), 4);
+    /// for name in names {
+    ///     service.release_name(name)?;
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn acquire_many(&self, count: usize, out: &mut Vec<Name>) -> Result<(), RenamingError> {
+        let first = out.len();
+        if let Some(oracle) = &self.oracle {
+            for _ in 0..count {
+                oracle.acquire_start();
+            }
+        }
+        let start = self.metrics.is_some().then(std::time::Instant::now);
+        let result = match &self.combiner {
+            Some(combiner) => combiner.acquire_many(self, count, out),
+            None => {
+                let mut worker = self.checkout();
+                let result = worker.session.acquire_batch(count, &mut worker.rng, out);
+                self.pool.checkin(worker);
+                result
+            }
+        };
+        if let (Some(metrics), Some(start)) = (&self.metrics, start) {
+            let elapsed = start.elapsed();
+            for _ in 0..count {
+                metrics.acquire.record(elapsed);
+            }
+        }
+        if let Some(oracle) = &self.oracle {
+            let won = &out[first..];
+            for name in won {
+                oracle.acquire_win(name.value());
+            }
+            for _ in won.len()..count {
+                oracle.acquire_fail();
+            }
+        }
+        result
+    }
+
     /// Releases a raw name previously obtained from
     /// [`acquire_name`](Self::acquire_name) (or detached via
     /// [`NameGuard::into_name`]).

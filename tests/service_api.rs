@@ -244,27 +244,28 @@ fn fixed_seed_sequence_mode(
 /// pool — and any future pool — must reproduce them byte-for-byte:
 /// stream ids are assigned at session construction, so single-threaded
 /// fixed-seed output is part of the service's compatibility contract.
+const GOLDEN: [(Algorithm, &[usize]); 4] = [
+    (
+        Algorithm::Rebatching,
+        &[9, 20, 21, 13, 29, 19, 0, 19, 29, 30, 18, 14, 17, 6, 21, 1, 4, 24, 24, 26, 3, 26, 29, 8],
+    ),
+    (
+        Algorithm::Adaptive,
+        &[0, 1, 1, 1, 2, 2, 2, 5, 7, 6, 5, 4, 4, 7, 7, 7, 5, 5, 5, 9, 8, 9, 8, 8],
+    ),
+    (
+        Algorithm::FastAdaptive,
+        &[0, 1, 1, 1, 2, 2, 2, 5, 7, 6, 5, 4, 4, 7, 7, 7, 5, 5, 5, 8, 8, 8, 9, 9],
+    ),
+    (
+        Algorithm::Uniform,
+        &[18, 40, 43, 27, 59, 38, 1, 38, 58, 60, 37, 29, 34, 12, 43, 3, 8, 49, 48, 53, 7, 52, 59, 16],
+    ),
+];
+
 #[test]
 fn fixed_seed_sequences_match_pr3_golden_values() {
-    let golden: [(Algorithm, &[usize]); 4] = [
-        (
-            Algorithm::Rebatching,
-            &[9, 20, 21, 13, 29, 19, 0, 19, 29, 30, 18, 14, 17, 6, 21, 1, 4, 24, 24, 26, 3, 26, 29, 8],
-        ),
-        (
-            Algorithm::Adaptive,
-            &[0, 1, 1, 1, 2, 2, 2, 5, 7, 6, 5, 4, 4, 7, 7, 7, 5, 5, 5, 9, 8, 9, 8, 8],
-        ),
-        (
-            Algorithm::FastAdaptive,
-            &[0, 1, 1, 1, 2, 2, 2, 5, 7, 6, 5, 4, 4, 7, 7, 7, 5, 5, 5, 8, 8, 8, 9, 9],
-        ),
-        (
-            Algorithm::Uniform,
-            &[18, 40, 43, 27, 59, 38, 1, 38, 58, 60, 37, 29, 34, 12, 43, 3, 8, 49, 48, 53, 7, 52, 59, 16],
-        ),
-    ];
-    for (algorithm, expected) in golden {
+    for (algorithm, expected) in GOLDEN {
         for pool in [PoolKind::Sharded, PoolKind::Mutex] {
             assert_eq!(
                 fixed_seed_sequence(algorithm, pool, 0xD0C5, expected.len()),
@@ -287,6 +288,140 @@ fn fixed_seed_sequences_match_pr3_golden_values() {
                 "{algorithm:?} combining mode diverged from the direct golden sequence"
             );
         }
+    }
+}
+
+/// The golden workload above, with every acquire made as
+/// `acquire_many(1, ..)` on raw names: holds are kept as names and
+/// released with `release_name` where the guard workload drops them.
+fn fixed_seed_sequence_many(
+    algorithm: Algorithm,
+    seed: u64,
+    n: usize,
+    mode: AcquireMode,
+) -> Vec<usize> {
+    let service = NameService::builder(algorithm, 32)
+        .acquire_mode(mode)
+        .seed_policy(SeedPolicy::Fixed(seed))
+        .build()
+        .expect("build");
+    let mut values = Vec::new();
+    let mut held = Vec::new();
+    let mut out = Vec::new();
+    for i in 0..n {
+        service.acquire_many(1, &mut out).expect("within capacity");
+        let name = out.pop().expect("one name appended");
+        assert!(out.is_empty());
+        values.push(name.value());
+        if i % 3 == 0 {
+            held.push(name);
+        } else {
+            service.release_name(name).expect("release");
+        }
+        if held.len() > 8 {
+            for name in held.drain(..) {
+                service.release_name(name).expect("release");
+            }
+        }
+    }
+    values
+}
+
+/// A batch of one is the single-name acquire: repeated
+/// `acquire_many(1, ..)` calls reproduce the golden sequences in both
+/// acquire modes.
+#[test]
+fn acquire_many_of_one_matches_the_golden_sequences() {
+    for (algorithm, expected) in GOLDEN {
+        for mode in [AcquireMode::Direct, AcquireMode::Combining] {
+            assert_eq!(
+                fixed_seed_sequence_many(algorithm, 0xD0C5, expected.len(), mode),
+                expected,
+                "{algorithm:?} acquire_many(1) in {mode:?} mode diverged from the golden sequence"
+            );
+        }
+    }
+}
+
+/// A batch larger than the free names: the names won stay acquired and
+/// in `out`, the call reports `NamespaceExhausted`, and `held()` counts
+/// exactly the names won — in both acquire modes.
+#[test]
+fn acquire_many_past_the_namespace_keeps_the_names_it_won() {
+    for mode in [AcquireMode::Direct, AcquireMode::Combining] {
+        // No oracle here: holding more than `capacity` names is itself
+        // a contract violation the oracle reports, and exhausting the
+        // namespace takes more than that.
+        let service = NameService::builder(Algorithm::Rebatching, 4)
+            .acquire_mode(mode)
+            .seed_policy(SeedPolicy::Fixed(0xBA7C))
+            .build()
+            .expect("build");
+        let guard = service.acquire().expect("one name held beforehand");
+        let free = service.namespace_size() - 1;
+        let mut out = Vec::new();
+        let error = service
+            .acquire_many(free + 3, &mut out)
+            .expect_err("more names asked for than are free");
+        assert_eq!(
+            error,
+            RenamingError::NamespaceExhausted {
+                namespace: service.namespace_size()
+            },
+            "{mode:?}"
+        );
+        // The sweep's backup phase scans the whole namespace, so it
+        // wins every free name before it gives up.
+        assert_eq!(out.len(), free, "{mode:?}: the batch wins every free name");
+        assert_eq!(service.held(), out.len() + 1, "{mode:?}: held counts the partial batch");
+        let mut values: Vec<usize> = out.iter().map(|name| name.value()).collect();
+        values.push(guard.value());
+        values.sort_unstable();
+        values.dedup();
+        assert_eq!(values.len(), out.len() + 1, "{mode:?}: names must be distinct");
+
+        for name in out {
+            service.release_name(name).expect("release");
+        }
+        drop(guard);
+        assert_eq!(service.held(), 0, "{mode:?}");
+    }
+}
+
+/// With metrics on, a batch of `count` adds `count` acquire samples;
+/// with the oracle on, the batch's history checks out clean, in both
+/// acquire modes.
+#[test]
+fn acquire_many_records_metrics_and_a_clean_oracle_history() {
+    for mode in [AcquireMode::Direct, AcquireMode::Combining] {
+        let service = NameService::builder(Algorithm::FastAdaptive, 16)
+            .acquire_mode(mode)
+            .metrics(true)
+            .oracle(true)
+            .seed_policy(SeedPolicy::Fixed(0x3E7))
+            .build()
+            .expect("build");
+        let metrics = service.metrics().expect("metrics enabled");
+        let mut out = Vec::new();
+        for count in [1usize, 5, 10] {
+            let before = metrics.snapshot().acquire.count();
+            service.acquire_many(count, &mut out).expect("within capacity");
+            assert_eq!(
+                metrics.snapshot().acquire.count(),
+                before + count as u64,
+                "{mode:?}: one sample per name"
+            );
+        }
+        assert_eq!(out.len(), 16);
+        assert_eq!(service.held(), 16);
+        for name in out {
+            service.release_name(name).expect("release");
+        }
+        let verdict = service.oracle_verdict().expect("oracle enabled");
+        assert!(verdict.is_clean(), "{mode:?}: {:?}", verdict.history.violations);
+        assert!(verdict.drained(), "{mode:?}");
+        assert_eq!(verdict.history.wins, 16, "{mode:?}");
+        assert_eq!(verdict.history.released(), 16, "{mode:?}");
     }
 }
 
