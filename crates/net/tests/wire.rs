@@ -287,6 +287,15 @@ fn wire_churn_yields_a_clean_oracle_verdict() {
     handle.stop().expect("stop");
 }
 
+/// Names held by the connection a `Stats` answer was sent on.
+fn session_held(stats: &Value) -> u64 {
+    stats
+        .get("session")
+        .and_then(|s| s.get("held"))
+        .and_then(Value::as_u64)
+        .expect("stats carry session.held")
+}
+
 /// Reads one response frame off a raw connection.
 fn read_response(reader: &mut std::io::BufReader<TcpStream>) -> Response {
     let payload = read_frame(reader, MAX_FRAME_LEN)
@@ -312,10 +321,7 @@ fn expect_names_then_stats(reader: &mut std::io::BufReader<TcpStream>, count: us
     distinct.dedup();
     assert_eq!(distinct.len(), count, "names must be distinct: {names:?}");
     match read_response(reader) {
-        Response::Stats(stats) => {
-            let held = stats.get("session").and_then(|s| s.get("held")).and_then(Value::as_u64);
-            assert_eq!(held, Some(count as u64), "{stats}");
-        }
+        Response::Stats(stats) => assert_eq!(session_held(&stats), count as u64, "{stats}"),
         other => panic!("expected the Stats answer last, got {other:?}"),
     }
 }
@@ -363,10 +369,7 @@ fn frames_split_across_writes_are_answered_in_order() {
         other => panic!("expected a name, got {other:?}"),
     }
     match read_response(&mut reader) {
-        Response::Stats(stats) => {
-            let held = stats.get("session").and_then(|s| s.get("held")).and_then(Value::as_u64);
-            assert_eq!(held, Some(4), "{stats}");
-        }
+        Response::Stats(stats) => assert_eq!(session_held(&stats), 4, "{stats}"),
         other => panic!("expected Stats, got {other:?}"),
     }
     drop(raw);
