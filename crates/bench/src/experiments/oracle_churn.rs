@@ -3,8 +3,8 @@
 //!
 //! Not a paper claim — this experiment gates on **verdicts, not
 //! timing**. For every algorithm selectable through `NameServiceBuilder`
-//! and every acquire path (the direct per-thread checkout, the
-//! flat-combining front-end, and the async facade), real OS threads
+//! and every acquire path (the direct per-thread checkout and the
+//! flat-combining front-end), real OS threads
 //! churn acquire/drop cycles against an oracle-instrumented service
 //! while the main thread takes a Chandy–Lamport-style snapshot mid-run.
 //! Each cell must replay to a clean verdict: no overlapping holds under
@@ -34,9 +34,7 @@ use std::time::Instant;
 use serde_json::{json, Value};
 
 use renaming_analysis::Table;
-use renaming_service::{
-    exec, AcquireMode, Algorithm, AsyncNameService, NameService, Oracle, SeedPolicy, Violation,
-};
+use renaming_service::{AcquireMode, Algorithm, NameService, Oracle, SeedPolicy, Violation};
 
 use crate::experiments::{header, verdict};
 use crate::Harness;
@@ -106,7 +104,7 @@ fn best_of(service: &NameService, threads: usize, ops_per_thread: usize, reps: u
 /// One oracle-checked churn cell: churn on `threads` threads with a
 /// snapshot taken mid-run from the main thread, then replay the full
 /// history. Returns `(verdict_is_clean, wins, events, snapshots_consistent)`.
-fn checked_churn_sync(
+fn checked_churn(
     service: &NameService,
     threads: usize,
     ops_per_thread: usize,
@@ -125,32 +123,6 @@ fn checked_churn_sync(
         oracle.snapshot();
     });
     let verdict = service.oracle_verdict().expect("oracle enabled");
-    let snapshots_ok = !verdict.history.snapshots.is_empty()
-        && verdict.history.snapshots.iter().all(|s| s.consistent);
-    let clean = verdict.is_clean() && verdict.drained() && verdict.history.complete;
-    (clean, verdict.history.wins, verdict.history.events as u64, snapshots_ok)
-}
-
-/// The async-facade analogue: each churn thread is a one-task
-/// `block_on` executor over `service.acquire().await`.
-fn checked_churn_async(
-    service: &AsyncNameService,
-    threads: usize,
-    ops_per_thread: usize,
-) -> (bool, u64, u64, bool) {
-    let oracle = service.service().oracle().expect("oracle enabled").clone();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                for _ in 0..ops_per_thread {
-                    let guard = exec::block_on(service.acquire()).expect("within capacity");
-                    std::hint::black_box(guard.value());
-                }
-            });
-        }
-        oracle.snapshot();
-    });
-    let verdict = service.service().oracle_verdict().expect("oracle enabled");
     let snapshots_ok = !verdict.history.snapshots.is_empty()
         && verdict.history.snapshots.iter().all(|s| s.consistent);
     let clean = verdict.is_clean() && verdict.drained() && verdict.history.complete;
@@ -189,7 +161,7 @@ fn injected_violations_detected() -> bool {
 }
 
 /// The `oracle_churn` experiment: oracle-checked churn verdicts for
-/// every algorithm × {direct, combining, async}, a seeded-violation
+/// every algorithm × {direct, combining}, a seeded-violation
 /// self-check, and a checked-vs-unchecked overhead axis. Writes
 /// `BENCH_oracle.json` and merges the overhead table into
 /// `BENCH_service.json` when present. The PASS gate is verdicts, not
@@ -203,7 +175,7 @@ pub fn oracle_churn(h: &mut Harness) -> String {
     let overhead_ops = if h.quick() { 5_000 } else { 40_000 };
     let threads = h.threads().clamp(2, CAPACITY);
     let overhead_threads = h.threads().clamp(1, CAPACITY);
-    let mode_labels = ["direct", "combining", "async"];
+    let mode_labels = ["direct", "combining"];
 
     let mut table = Table::new(["backend", "mode", "threads", "wins", "events", "verdict"]);
     let mut rows: Vec<Value> = Vec::new();
@@ -224,12 +196,8 @@ pub fn oracle_churn(h: &mut Harness) -> String {
                 .build()
                 .expect("service builds for every algorithm and mode");
             let backend_label = service.algorithm();
-            let (clean, wins, events, snapshots_ok) = if mode_label == "async" {
-                let service = AsyncNameService::new(service);
-                checked_churn_async(&service, threads, ops_per_thread)
-            } else {
-                checked_churn_sync(&service, threads, ops_per_thread)
-            };
+            let (clean, wins, events, snapshots_ok) =
+                checked_churn(&service, threads, ops_per_thread);
             all_clean &= clean;
             all_snapshots_consistent &= snapshots_ok;
             table.row([
@@ -431,7 +399,6 @@ mod tests {
             "doubling-uniform",
             " direct ",
             " combining ",
-            " async ",
             "detected: true",
         ] {
             assert!(report.contains(label), "missing {label} in:\n{report}");

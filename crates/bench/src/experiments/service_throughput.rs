@@ -12,12 +12,10 @@
 //! rather than a pinned 1/2/4.
 //!
 //! The run also sweeps the **acquire-mode axis** — the direct per-thread
-//! checkout path, the flat-combining front-end
-//! (`AcquireMode::Combining`), and the async facade
-//! (`AsyncNameService::acquire().await`, each hammer thread a one-task
-//! `block_on` executor over a combining-mode service) — back-to-back
-//! per (backend, threads) cell, recording all three curves and their
-//! ratios over direct in the artifact's `mode_comparison` section.
+//! checkout path and the flat-combining front-end
+//! (`AcquireMode::Combining`) — back-to-back per (backend, threads)
+//! cell, recording both curves and their ratio in the artifact's
+//! `mode_comparison` section.
 //!
 //! Since the register substrate became long-lived, the run also sweeps
 //! the **tournament backend under acquire/release churn** for the
@@ -42,9 +40,7 @@ use std::time::Instant;
 use serde_json::{json, Value};
 
 use renaming_analysis::Table;
-use renaming_service::{
-    exec, AcquireMode, Algorithm, AsyncNameService, NameService, PoolKind, SeedPolicy, TasBackend,
-};
+use renaming_service::{AcquireMode, Algorithm, NameService, PoolKind, SeedPolicy, TasBackend};
 use renaming_tas::rwtas::TournamentTas;
 use renaming_tas::{ResettableTas, Tas, TicketTas};
 
@@ -139,46 +135,6 @@ fn best_of(service: &NameService, threads: usize, ops_per_thread: usize, reps: u
     let mut best = hammer(service, threads, ops_per_thread);
     for _ in 1..reps {
         let m = hammer(service, threads, ops_per_thread);
-        if m.ops_per_sec() > best.ops_per_sec() {
-            best = m;
-        }
-    }
-    best
-}
-
-/// The async-facade analogue of [`hammer`]: each OS thread is a one-task
-/// executor, driving every cycle through `block_on(service.acquire())`.
-/// Prices the suspension machinery (waker registration, slot publish,
-/// combiner exit re-check) against the sync paths it shares slots with.
-fn hammer_async(service: &AsyncNameService, threads: usize, ops_per_thread: usize) -> Measurement {
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || {
-                for _ in 0..ops_per_thread {
-                    let guard = exec::block_on(service.acquire()).expect("within capacity");
-                    std::hint::black_box(guard.value());
-                    // guard drop -> release
-                }
-            });
-        }
-    });
-    Measurement {
-        ops: (threads * ops_per_thread) as u64,
-        seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
-fn best_of_async(
-    service: &AsyncNameService,
-    threads: usize,
-    ops_per_thread: usize,
-    reps: usize,
-) -> Measurement {
-    hammer_async(service, threads, 50);
-    let mut best = hammer_async(service, threads, ops_per_thread);
-    for _ in 1..reps {
-        let m = hammer_async(service, threads, ops_per_thread);
         if m.ops_per_sec() > best.ops_per_sec() {
             best = m;
         }
@@ -286,9 +242,9 @@ pub fn service_throughput(h: &mut Harness) -> String {
         );
     }
 
-    // ---- Acquire-mode axis: direct vs combining vs the async facade. ----
+    // ---- Acquire-mode axis: direct vs combining. ----
     //
-    // Same backends, sharded pool, all three acquire paths measured
+    // Same backends, sharded pool, both acquire paths measured
     // back-to-back within each (backend, threads) cell so machine-wide
     // drift cancels out of the ratios over direct. At one thread the
     // combiner forms batches of one (the direct path with a slot
@@ -299,13 +255,7 @@ pub fn service_throughput(h: &mut Harness) -> String {
     let mut mode_table = Table::new(["backend", "mode", "threads", "ops", "Kops/s", "drained"]);
     let mut mode_rows: Vec<Value> = Vec::new();
     let mut mode_comparison: Vec<Value> = Vec::new();
-    // The third cell drives a combining-mode service through the async
-    // facade: each hammer thread is a one-task executor running
-    // `exec::block_on(service.acquire())` per cycle (`hammer_async`).
-    // The direct and combining cells are measured exactly as before, so
-    // their rows — and the CI stability diff over the direct rows —
-    // are unaffected by the new axis point.
-    let mode_labels = ["direct", "combining", "async"];
+    let mode_labels = ["direct", "combining"];
     for algorithm in Algorithm::all() {
         let mut curve = vec![vec![0.0f64; thread_counts.len()]; mode_labels.len()];
         let mut backend_label = "";
@@ -322,16 +272,8 @@ pub fn service_throughput(h: &mut Harness) -> String {
                     .build()
                     .expect("service builds in every acquire mode");
                 backend_label = service.algorithm();
-                let (best, drained) = if mode_label == "async" {
-                    let service = AsyncNameService::new(service);
-                    let best = best_of_async(&service, threads, ops_per_thread, MODE_REPS);
-                    let drained = service.held() == 0;
-                    (best, drained)
-                } else {
-                    let best = best_of(&service, threads, ops_per_thread, MODE_REPS);
-                    let drained = service.held() == 0;
-                    (best, drained)
-                };
+                let best = best_of(&service, threads, ops_per_thread, MODE_REPS);
+                let drained = service.held() == 0;
                 all_drained &= drained;
                 curve[mode_idx][thread_idx] = best.ops_per_sec();
                 mode_table.row([
@@ -366,30 +308,21 @@ pub fn service_throughput(h: &mut Harness) -> String {
                 );
             }
         }
-        let (direct, combining, r#async) = (&curve[0], &curve[1], &curve[2]);
+        let (direct, combining) = (&curve[0], &curve[1]);
         let last = thread_counts.len() - 1;
         let at_1 = combining[0] / direct[0].max(f64::MIN_POSITIVE);
         let at_max = combining[last] / direct[last].max(f64::MIN_POSITIVE);
-        let async_at_1 = r#async[0] / direct[0].max(f64::MIN_POSITIVE);
-        let async_at_max = r#async[last] / direct[last].max(f64::MIN_POSITIVE);
         mode_comparison.push(json!({
             "backend": backend_label,
             "threads": thread_counts.clone(),
             "direct_ops_per_sec": direct,
             "combining_ops_per_sec": combining,
-            "async_ops_per_sec": r#async,
             "combining_over_direct_at_1_thread": at_1,
-            "combining_over_direct_at_max_threads": at_max,
-            "async_over_direct_at_1_thread": async_at_1,
-            "async_over_direct_at_max_threads": async_at_max
+            "combining_over_direct_at_max_threads": at_max
         }));
         let _ = writeln!(
             out,
             "{algorithm:?}: combining/direct = {at_1:.2}x at 1 thread, {at_max:.2}x at {max_threads} threads",
-        );
-        let _ = writeln!(
-            out,
-            "{algorithm:?}: async/direct = {async_at_1:.2}x at 1 thread, {async_at_max:.2}x at {max_threads} threads",
         );
     }
 
@@ -563,9 +496,7 @@ mod tests {
             " tournament ",
             " direct ",
             " combining ",
-            " async ",
             "combining/direct",
-            "async/direct",
             "epoch bump",
         ] {
             assert!(report.contains(label), "missing {label} in:\n{report}");

@@ -18,12 +18,9 @@
 //!    ([`PooledSession::acquire_batch`](crate::PooledSession::acquire_batch)
 //!    rearms the machine between wins instead of rewinding it, so the
 //!    batch walks the namespace once instead of `count` times);
-//! 3. results are published back through the slots and waiters are
-//!    notified through the unified wait/notify layer ([`crate::wait`]):
-//!    a sync waiter spins briefly, then parks; an async waiter
-//!    ([`crate::AsyncNameService`]) registers its task's waker instead.
-//!    The drain loop completes slots and notifies through one code path
-//!    regardless of kind.
+//! 3. results are published back through the slots, and each waiter —
+//!    which spins briefly, yields, then parks — is unparked through the
+//!    wait/notify layer ([`crate::wait`]) if it got as far as parking.
 //!
 //! An *uncontended* acquirer short-circuits all three steps: it takes
 //! the combiner role outright, serves itself as a batch of one (which
@@ -36,21 +33,22 @@
 //! stay resident on one core for the whole sweep instead of bouncing
 //! between every acquirer — the flat-combining effect.
 //!
-//! # Liveness without timeouts
+//! # Liveness
 //!
-//! A sync waiter re-contends for the combiner lock on every wake (and at
+//! A waiter re-contends for the combiner lock on every wake (and at
 //! worst every [`PARK_TIMEOUT`]), so a request published while no
-//! combiner was active can always serve itself. An async waiter has no
-//! timeout — its only wake is the notification — so the combiner's exit
-//! protocol closes the gap instead: after releasing the lock, the
-//! combiner re-reads the queued-request hint and re-elects itself if the
-//! hint is nonzero ([`Combiner::drain_and_release`]). All the accesses
-//! involved (the publisher's hint increment, its `PENDING` store, its
-//! failed lock CAS; the combiner's unlock and hint re-read) are SeqCst,
-//! so in the single total order either the publisher's CAS sees the lock
-//! free (and the publisher can become combiner itself), or the exiting
-//! combiner's re-read sees the increment and drains again. A published
-//! request can therefore never strand, waker or thread alike.
+//! combiner is active can always serve itself. The combiner's exit
+//! protocol keeps that timeout a backstop rather than the wake: after
+//! releasing the lock, the combiner re-reads the queued-request hint and
+//! re-elects itself if the hint is nonzero
+//! ([`Combiner::drain_and_release`]). All the accesses involved (the
+//! publisher's hint increment, its `PENDING` store, its failed lock CAS;
+//! the combiner's unlock and hint re-read) are SeqCst, so in the single
+//! total order either the publisher's CAS sees the lock free (and the
+//! publisher becomes combiner itself), or the exiting combiner's re-read
+//! sees the increment and drains again. A waiter parked on a request
+//! that landed after the combiner's last scan is therefore served by
+//! that combiner's exit, not by its own timeout.
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;
@@ -62,7 +60,7 @@ use renaming_core::{Name, RenamingError};
 
 use crate::service::{NameService, Worker};
 use crate::slots::{SlotPoll, SlotTable};
-use crate::wait::WaiterKind;
+use crate::sync_shim::thread::Thread;
 
 /// Spins before a waiter starts yielding. Long enough to cover a small
 /// batch being served; short enough not to burn a core under
@@ -88,14 +86,13 @@ const YIELD_LIMIT: u32 = 16;
 #[cfg(renaming_model)]
 const YIELD_LIMIT: u32 = 2;
 
-/// Park timeout: sync waiters re-contend for the combiner lock at least
-/// this often. The publish/park handshake (SeqCst on both sides, see
-/// [`crate::wait`]) makes the combiner's unpark reliable, so this is not
-/// the primary wake — it is a belt-and-suspenders bound on the stall of
-/// a thread-waiter when no combiner is active (the waiter wakes, wins
-/// the free lock, and serves itself). Async waiters have no analogous
-/// timeout; they rely on the combiner's exit re-check (see the module
-/// docs on liveness).
+/// Park timeout: waiters re-contend for the combiner lock at least this
+/// often. The publish/park handshake (SeqCst on both sides, see
+/// [`crate::wait`]) makes the combiner's unpark reliable and its exit
+/// re-check serves requests that land after its last scan, so this is
+/// not the primary wake — it is a belt-and-suspenders bound on a
+/// waiter's stall (it wakes, wins the free lock, and serves itself; see
+/// the module docs on liveness).
 const PARK_TIMEOUT: Duration = Duration::from_micros(500);
 
 /// How many uncontended combiner turns keep the *short-critical-section*
@@ -141,8 +138,8 @@ struct CombinerLock(AtomicBool);
 
 /// The shared combining state: the slot table and the combiner role.
 struct CombinerCore {
-    /// The request-slot table (see [`crate::slots`]), shared with thread
-    /// leases and in-flight async futures.
+    /// The request-slot table (see [`crate::slots`]), shared with the
+    /// thread leases.
     table: Arc<SlotTable>,
     lock: CombinerLock,
     /// The combiner's *resident* worker session. Whoever holds the
@@ -161,16 +158,14 @@ struct CombinerCore {
     /// Published-request hint: incremented just before a waiter stores
     /// `PENDING` ([`Combiner::announce`]), decremented by the combiner
     /// in one batched `fetch_sub` per drain round (covering every slot
-    /// that round adopted) and by a cancelled async future that
-    /// withdraws its unadopted request ([`Combiner::retract`]). Lets an
-    /// uncontended combiner skip the full slot scan with one load. At
-    /// any combiner's scan the hint is ≥ the number of slots the scan
-    /// adopts (each adopted slot's increment is program-ordered before
-    /// its `PENDING` store and consumed by exactly one later decrement)
-    /// — asserted in the drain loop. A stale zero is benign for sync
-    /// waiters (they re-contend for the lock themselves); for async
-    /// waiters the SeqCst exit re-check makes it impossible to miss
-    /// (see the module docs on liveness).
+    /// that round adopted). Lets an uncontended combiner skip the full
+    /// slot scan with one load. At any combiner's scan the hint is ≥ the
+    /// number of slots the scan adopts (each adopted slot's increment is
+    /// program-ordered before its `PENDING` store and consumed by exactly
+    /// one later decrement) — asserted in the drain loop. A stale zero
+    /// at a scan is benign: the waiter re-contends for the lock itself,
+    /// and the SeqCst exit re-check cannot miss the increment (see the
+    /// module docs on liveness).
     queued: AtomicUsize,
     /// Contention decay counter (see [`CONTENDED_WINDOW`]): refreshed by
     /// every failed fast-path lock CAS, decremented per uncontended
@@ -227,19 +222,13 @@ impl Combiner {
         }
     }
 
-    /// The shared request-slot table (the async facade publishes into
-    /// it directly).
-    pub(crate) fn table(&self) -> &Arc<SlotTable> {
-        &self.core.table
-    }
-
     /// Tries to take the combiner role. SeqCst on both outcomes: the
     /// *failure* is the publisher's half of the exit-re-check handshake
     /// (a failed CAS that read `true` is ordered, in the single SeqCst
     /// order, before the lock-holder's unlock — and therefore before its
     /// queued re-read, which then cannot miss the publisher's
     /// increment).
-    pub(crate) fn try_lock(&self) -> bool {
+    fn try_lock(&self) -> bool {
         self.core
             .lock
             .0
@@ -259,38 +248,18 @@ impl Combiner {
     /// [`serve_locked`](Self::serve_locked) so the cross-thread read is
     /// a happens-before edge (free on x86; the model's race detector
     /// insists on it even for a heuristic).
-    pub(crate) fn note_contention(&self) {
+    fn note_contention(&self) {
         self.core.contended.store(CONTENDED_WINDOW, Ordering::Release);
     }
 
     /// Bumps the published-request hint. Must be called *before* the
-    /// slot's `PENDING` store, and pairs with exactly one later
-    /// [`retract`](Self::retract) or combiner batch decrement.
-    pub(crate) fn announce(&self) {
+    /// slot's `PENDING` store, and pairs with exactly one later combiner
+    /// batch decrement.
+    fn announce(&self) {
         self.core.queued.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Consumes one published-request credit for a request withdrawn by
-    /// a cancelled async future (the combiner consumes credits for the
-    /// slots it adopts itself, batched per drain round).
-    pub(crate) fn retract(&self) {
-        self.core.queued.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// The current published-request hint (tests).
-    #[cfg(test)]
-    pub(crate) fn queued_hint(&self) -> usize {
-        self.core.queued.load(Ordering::SeqCst)
-    }
-
-    /// Releases the combiner role without draining (tests that stage a
-    /// lock holder).
-    #[cfg(test)]
-    pub(crate) fn unlock_for_test(&self) {
-        self.unlock();
-    }
-
-    /// Acquires one name through the combining path (sync waiters).
+    /// Acquires one name through the combining path.
     pub(crate) fn acquire(&self, service: &NameService) -> Result<Name, RenamingError> {
         // Fast path: an uncontended acquirer takes the combiner role
         // outright, without publishing a request.
@@ -388,9 +357,8 @@ impl Combiner {
     }
 
     /// Serves the calling acquirer as the combiner. The caller holds
-    /// the combiner lock; it is released before returning. Shared by
-    /// the sync fast path and the async future's first poll.
-    pub(crate) fn serve_locked(&self, service: &NameService) -> Result<Name, RenamingError> {
+    /// the combiner lock; it is released before returning.
+    fn serve_locked(&self, service: &NameService) -> Result<Name, RenamingError> {
         let mut worker = self.take_resident(service);
         let contended = self.core.contended.load(Ordering::Acquire);
         if contended == 0 {
@@ -426,20 +394,13 @@ impl Combiner {
         result
     }
 
-    /// Runs one full combiner turn for a waiter that just won the lock:
-    /// take the resident worker, drain, release. Used by the async
-    /// future's wait loop (the sync wait loop inlines the same calls).
-    pub(crate) fn drain_as_combiner(&self, service: &NameService) {
-        let worker = self.take_resident(service);
-        self.drain_and_release(service, worker);
-    }
-
     /// The combiner's exit protocol: drain, park the worker, release
-    /// the lock, deliver notifications — then re-check the queued hint
-    /// and re-elect itself if requests were published while it was
-    /// letting go. The re-check is what guarantees liveness for async
-    /// waiters, which cannot rely on a park timeout (see the module
-    /// docs); it costs one SeqCst load on the uncontended path.
+    /// the lock, unpark the served waiters — then re-check the queued
+    /// hint and re-elect itself if requests were published while it was
+    /// letting go. The re-check serves a waiter whose request landed
+    /// after the last scan without making it wait out [`PARK_TIMEOUT`]
+    /// (see the module docs); it costs one SeqCst load on the
+    /// uncontended path.
     ///
     /// The caller holds the combiner lock and passes in the worker it
     /// drained with; the lock is released (and the worker parked or
@@ -449,12 +410,11 @@ impl Combiner {
             let notifications = self.drain(&mut worker);
             let displaced = self.park_resident(worker);
             self.unlock();
-            // Notify after releasing the lock, keeping futex syscalls
-            // and executor wake-ups out of the critical section (a long
-            // combiner hold is what cascades into pile-ups on
-            // oversubscribed boxes).
+            // Unpark after releasing the lock, keeping futex syscalls
+            // out of the critical section (a long combiner hold is what
+            // cascades into pile-ups on oversubscribed boxes).
             for waiter in notifications {
-                waiter.notify();
+                waiter.unpark();
             }
             if let Some(worker) = displaced {
                 service.checkin_worker(worker);
@@ -525,8 +485,8 @@ impl Combiner {
 
     /// Serves every pending request through the combiner's worker.
     /// Caller holds the combiner lock; the returned waiters must be
-    /// notified *after* releasing it (see [`Self::drain_and_release`]).
-    fn drain(&self, worker: &mut Worker) -> Vec<WaiterKind> {
+    /// unparked *after* releasing it (see [`Self::drain_and_release`]).
+    fn drain(&self, worker: &mut Worker) -> Vec<Thread> {
         // `Vec::new` defers the allocation: a drain that finds nothing
         // pending (the uncontended fast path) costs only the hint load.
         let mut pending = Vec::new();
@@ -535,21 +495,18 @@ impl Combiner {
         for _ in 0..DRAIN_ROUNDS {
             // The queued hint spares the uncontended turn the full slot
             // scan. A stale zero skips a request that was *just*
-            // published — benign: a sync owner is awake (it has not
-            // parked yet) and re-contends for the lock itself; an async
-            // owner is covered by the exit re-check in
-            // `drain_and_release`, which runs after this return.
+            // published — benign: its owner is awake (it has not parked
+            // yet) and re-contends for the lock itself, and the exit
+            // re-check in `drain_and_release`, which runs after this
+            // return, sees the increment.
             if self.core.queued.load(Ordering::SeqCst) == 0 {
                 return notifications;
             }
             pending.clear();
             for index in 0..self.core.table.len() {
-                // PENDING → SERVING: adopting the request here (rather
-                // than just reading PENDING) is what makes cancellation
-                // sound — a cancelled future's withdraw CAS and this
-                // adoption CAS target the same word, so exactly one of
-                // them wins and a name can never be published into a
-                // slot nobody owns.
+                // PENDING → SERVING: marks the request adopted, so a
+                // later round of this drain skips it and its owner keeps
+                // waiting (it is still in flight) until the fill.
                 if self.core.table.slot(index).take_for_service() {
                     pending.push(index);
                 }
@@ -575,8 +532,7 @@ impl Combiner {
                 .session
                 .acquire_batch(pending.len(), &mut worker.rng, &mut names);
             // Consume the adopted requests' hint credits in one batched
-            // decrement (a cancelled async future that withdrew *before*
-            // adoption consumed its own credit via `retract`).
+            // decrement.
             self.core.queued.fetch_sub(pending.len(), Ordering::SeqCst);
             // Publish in slot order. On a partial batch (namespace
             // exhausted mid-sweep) the names that *were* won still go
@@ -634,31 +590,31 @@ mod tests {
 
     #[test]
     fn exit_recheck_drains_requests_published_against_a_held_lock() {
-        // Stage the async liveness scenario deterministically on one
-        // thread: a request is published while the lock is held (so its
+        // Stage the liveness scenario deterministically on one thread: a
+        // request is published while the lock is held (so its
         // publisher's lock CAS fails and it goes to sleep), and the
-        // combiner's own exit must serve it — no timeout, no third
+        // combiner's own exit must serve it — no park timeout, no third
         // party.
         let service = crate::NameService::builder(crate::Algorithm::Rebatching, 4)
-            .acquire_mode(crate::AcquireMode::Combining)
             .build()
             .expect("build");
-        let combiner = service.combiner().expect("combining mode");
+        let combiner = Combiner::with_slots(4);
         assert!(combiner.try_lock(), "stage: we are the active combiner");
-        let index = combiner.table().claim().expect("free slot");
-        let slot = combiner.table().slot(index);
+        let table = &combiner.core.table;
+        let index = table.leased_index().expect("free slot");
+        let slot = table.slot(index);
         combiner.announce();
         slot.publish();
-        assert_eq!(combiner.queued_hint(), 1);
+        assert_eq!(combiner.core.queued.load(Ordering::SeqCst), 1);
         // The combiner (us) exits: drain_and_release must notice the
         // published request via the exit re-check and serve it.
-        combiner.drain_as_combiner(&service);
+        let worker = combiner.take_resident(&service);
+        combiner.drain_and_release(&service, worker);
         let SlotPoll::Done(value) = slot.poll() else {
             panic!("exit re-check must have served the published request");
         };
         slot.finish();
-        combiner.table().release(index);
-        assert_eq!(combiner.queued_hint(), 0);
+        assert_eq!(combiner.core.queued.load(Ordering::SeqCst), 0);
         service.release_name(Name::new(value)).expect("release");
         assert_eq!(service.held(), 0);
     }

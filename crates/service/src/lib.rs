@@ -21,14 +21,6 @@
 //!   whole batch of raw names in one sweep with
 //!   [`NameService::acquire_many`] (what the `renaming-net` server's
 //!   pipelined bursts use);
-//! * [`AsyncNameService`] — the same service behind `acquire().await`:
-//!   a hand-rolled [`Future`](std::future::Future) (std
-//!   `Waker`/`Poll` only, no external runtime) that publishes into the
-//!   combining front-end's request slots and suspends instead of
-//!   parking, with [`AsyncNameGuard`] for mode-independent RAII release;
-//! * [`exec`] — minimal, documented executors ([`exec::block_on`],
-//!   [`exec::drive_all`]) for driving the async facade without any
-//!   runtime — what the async example and tests use;
 //! * [`ServiceMetrics`] — opt-in latency histograms
 //!   ([`NameServiceBuilder::metrics`]): fixed-bucket log₂
 //!   [`LatencyHistogram`]s with relaxed-counter increments, zero cost
@@ -64,10 +56,8 @@
 #![deny(missing_debug_implementations)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-mod async_api;
 mod builder;
 mod combiner;
-pub mod exec;
 mod guard;
 mod metrics;
 mod namespace;
@@ -81,7 +71,6 @@ mod wait;
 #[cfg(all(test, renaming_model))]
 mod model_tests;
 
-pub use async_api::{AcquireFuture, AsyncNameGuard, AsyncNameService};
 pub use builder::{AcquireMode, Algorithm, NameServiceBuilder, TasBackend};
 pub use guard::NameGuard;
 pub use metrics::{

@@ -662,40 +662,6 @@ impl NameService {
         }
     }
 
-    /// The combining front-end, if this service was built with
-    /// [`AcquireMode::Combining`] — the async facade publishes into its
-    /// slot table directly.
-    pub(crate) fn combiner(&self) -> Option<&Combiner> {
-        self.combiner.as_ref()
-    }
-
-    /// Oracle hooks for the async facade, which publishes into the
-    /// combiner's slot table directly instead of going through
-    /// [`acquire_name`](Self::acquire_name). Each is a no-op when the
-    /// oracle is disabled. The *recording* participant is the polling
-    /// (or dropping) task's thread — the thread that observes the
-    /// outcome — matching the sync path's convention that the
-    /// requester, not the combiner, records the win.
-    pub(crate) fn oracle_note_start(&self) {
-        if let Some(oracle) = &self.oracle {
-            oracle.acquire_start();
-        }
-    }
-
-    /// Records an async win; see [`oracle_note_start`](Self::oracle_note_start).
-    pub(crate) fn oracle_note_win(&self, name: Name) {
-        if let Some(oracle) = &self.oracle {
-            oracle.acquire_win(name.value());
-        }
-    }
-
-    /// Records an async failure; see [`oracle_note_start`](Self::oracle_note_start).
-    pub(crate) fn oracle_note_fail(&self) {
-        if let Some(oracle) = &self.oracle {
-            oracle.acquire_fail();
-        }
-    }
-
     /// Checks a worker out for the combining front-end. It usually stays
     /// resident with the combiner role (the role's Acquire/Release lock
     /// edges hand it between combiners); [`Self::checkin_worker`] takes

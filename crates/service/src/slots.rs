@@ -5,29 +5,24 @@
 //!
 //! ```text
 //! EMPTY ──publish──▶ PENDING ──take_for_service──▶ SERVING ──fill──▶ DONE | FAILED ──finish──▶ EMPTY
-//!                       │
-//!                       └──withdraw (cancelled async request)──▶ EMPTY
 //! ```
 //!
 //! Ownership of each edge is strict: only the slot's owner (the thread
-//! or task that claimed it) publishes, withdraws, or finishes; only the
-//! combiner takes a slot for service and fills it. `PENDING → SERVING`
-//! and `PENDING → EMPTY` are both CASes on the same word, so a combiner
-//! adopting a request and a cancelled future withdrawing it can never
-//! both succeed — the edge that loses sees the other's transition and
-//! defers (the combiner skips the slot; the canceller waits for the
-//! verdict and recycles an abandoned win).
+//! holding its lease) publishes and finishes; only a combiner takes a
+//! slot for service and fills it. Adoption runs under the combiner lock,
+//! and `PENDING → SERVING` is a CAS besides, so a request is adopted at
+//! most once without the slot protocol leaning on the lock for it.
 //!
-//! Every transition out of `PENDING`/`SERVING` pairs with the slot's
-//! [`WaitCell`] to notify whoever is sleeping on the result — see
-//! [`crate::wait`] for the handshake.
+//! The fill pairs with the slot's [`WaitCell`] to unpark the owner if it
+//! is parked on the result — see [`crate::wait`] for the handshake.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::sync_shim::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
-use crate::wait::{WaitCell, WaiterKind};
+use crate::sync_shim::thread::Thread;
+use crate::wait::WaitCell;
 
 /// No request published; the slot may be claimed/leased but is idle.
 const EMPTY: u32 = 0;
@@ -62,13 +57,13 @@ pub(crate) enum SlotPoll {
 #[repr(align(128))]
 #[derive(Debug)]
 pub(crate) struct RequestSlot {
-    /// Claimed by a thread lease ([`SlotLease`]) or directly by an async
-    /// future: only the claimant may publish requests here.
+    /// Claimed by a thread lease ([`SlotLease`]): only the lease holder
+    /// may publish requests here.
     claimed: AtomicBool,
     state: AtomicU32,
     /// The acquired name's value; meaningful only in state `DONE`.
     result: AtomicUsize,
-    /// The wait/notify half: who (if anyone) sleeps on this slot.
+    /// The wait/notify half: who (if anyone) parks on this slot.
     pub(crate) wait: WaitCell,
 }
 
@@ -108,8 +103,8 @@ impl RequestSlot {
 
     /// Combiner edge: adopts a pending request into the current batch
     /// (`PENDING → SERVING`). Returns `false` if the slot holds no
-    /// pending request — including the case where a cancelled future
-    /// withdrew it between our load and CAS.
+    /// pending request (already adopted, or not yet published). The
+    /// plain load first spares idle slots the RMW during a scan.
     pub(crate) fn take_for_service(&self) -> bool {
         self.state.load(Ordering::SeqCst) == PENDING
             && self
@@ -118,20 +113,11 @@ impl RequestSlot {
                 .is_ok()
     }
 
-    /// Owner edge (cancellation): withdraws a request no combiner has
-    /// adopted yet (`PENDING → EMPTY`). Returns `false` if a combiner
-    /// won the race — the verdict is then coming and must be consumed.
-    pub(crate) fn withdraw(&self) -> bool {
-        self.state
-            .compare_exchange(PENDING, EMPTY, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
     /// Combiner edge: fills an adopted slot with its verdict
-    /// (`SERVING → DONE | FAILED`) and collects the waiter to notify.
+    /// (`SERVING → DONE | FAILED`) and collects the thread to unpark.
     /// The SeqCst state store before the engaged-flag load is the
     /// combiner's half of the Dekker handshake (see [`crate::wait`]).
-    pub(crate) fn fill(&self, outcome: Option<usize>) -> Option<WaiterKind> {
+    pub(crate) fn fill(&self, outcome: Option<usize>) -> Option<Thread> {
         debug_assert_eq!(self.state.load(Ordering::Relaxed), SERVING);
         let state = match outcome {
             Some(value) => {
@@ -164,7 +150,7 @@ fn next_table_id() -> u64 {
 }
 
 /// The combining front-end's array of request slots, shared between the
-/// combiner core, thread leases, and in-flight async futures.
+/// combiner core and the thread leases.
 #[derive(Debug)]
 pub(crate) struct SlotTable {
     slots: Box<[RequestSlot]>,
@@ -191,11 +177,10 @@ impl SlotTable {
         &self.slots[index]
     }
 
-    /// Claims an unclaimed slot outright (no lease, no waiter
-    /// registration) — the async path, where a future owns the claim for
-    /// exactly one request and releases it on completion or drop.
-    /// `None` when every slot is taken.
-    pub(crate) fn claim(&self) -> Option<usize> {
+    /// Claims an unclaimed slot (no waiter registration yet) for
+    /// [`leased_index`](Self::leased_index). `None` when every slot is
+    /// taken.
+    fn claim(&self) -> Option<usize> {
         for (index, slot) in self.slots.iter().enumerate() {
             // Acquire on both the hint load and the CAS: either read may
             // be the one that observes the releasing thread's clear, and
@@ -216,10 +201,10 @@ impl SlotTable {
         None
     }
 
-    /// Releases a claim taken by [`claim`](Self::claim) (or held by a
-    /// dropped lease): clears the waiter registration, then reopens the
-    /// slot. The Release store pairs with the Acquire CAS in `claim`,
-    /// ordering the clear before the slot's next claimant.
+    /// Releases a slot claim (a dropped lease's): clears the waiter
+    /// registration, then reopens the slot. The Release store pairs with
+    /// the Acquire CAS in `claim`, ordering the clear before the slot's
+    /// next claimant.
     pub(crate) fn release(&self, index: usize) {
         let slot = &self.slots[index];
         debug_assert_eq!(slot.state.load(Ordering::Relaxed), EMPTY);
@@ -230,8 +215,7 @@ impl SlotTable {
     /// The calling thread's leased slot index in this table, claiming
     /// one (and registering the thread's park handle as its waiter) on
     /// first touch. `None` when every slot is taken by another live
-    /// thread or an in-flight async future — the caller then falls back
-    /// to the direct path.
+    /// thread — the caller then falls back to the direct path.
     pub(crate) fn leased_index(self: &Arc<Self>) -> Option<usize> {
         LEASES.with(|leases| {
             let mut leases = leases.borrow_mut();
@@ -306,23 +290,11 @@ mod tests {
         assert!(slot.in_flight());
         assert!(slot.take_for_service(), "combiner adopts a pending slot");
         assert!(!slot.take_for_service(), "adoption is exclusive");
-        assert!(!slot.withdraw(), "withdraw loses against an adoption");
         assert!(slot.in_flight(), "SERVING is still in flight");
         assert!(slot.fill(Some(7)).is_none(), "no waiter engaged");
         assert_eq!(slot.poll(), SlotPoll::Done(7));
         slot.finish();
         assert_eq!(slot.poll(), SlotPoll::Waiting);
-        table.release(index);
-    }
-
-    #[test]
-    fn withdraw_beats_a_combiner_that_has_not_adopted() {
-        let table = SlotTable::new(2);
-        let index = table.claim().expect("claim");
-        let slot = table.slot(index);
-        slot.publish();
-        assert!(slot.withdraw(), "unadopted requests withdraw cleanly");
-        assert!(!slot.take_for_service(), "nothing left to adopt");
         table.release(index);
     }
 

@@ -1,84 +1,41 @@
 //! The wait/notify half of the combining front-end's slot protocol.
 //!
 //! A published request needs exactly one thing from the combiner: *tell
-//! me when my slot is filled*. How the owner sleeps while waiting is an
-//! orthogonal concern — an OS thread parks, an async task returns
-//! [`Poll::Pending`](std::task::Poll::Pending) and hands the executor a
-//! [`Waker`] — so this module factors the two apart:
+//! me when my slot is filled*. The owner is an OS thread that spins,
+//! yields and finally parks; [`WaitCell`] is the handshake that makes
+//! that park safe: an `engaged` flag plus the waiter's thread handle,
+//! running the SeqCst Dekker publish/park protocol (store flag, re-load
+//! state on one side; store state, load flag on the other — at least one
+//! side must observe the other, so a served request can never sleep
+//! through its own notification).
 //!
-//! * [`WaiterKind`] is *who to notify*: a thread handle to unpark or a
-//!   waker to wake. The combiner's drain loop completes slots and
-//!   notifies through this one type regardless of kind.
-//! * [`WaitCell`] is *the handshake*: an `engaged` flag plus the waiter
-//!   registration, reproducing the SeqCst Dekker publish/park protocol
-//!   the sync path has always used (store flag, re-load state on one
-//!   side; store state, load flag on the other — at least one side must
-//!   observe the other, so a served request can never sleep through its
-//!   own notification).
-//!
-//! The cell deliberately keeps the sync fast path intact: a thread
-//! waiter registers its handle once (at slot-lease claim) and only flips
-//! the `engaged` flag around an actual park, so publishing a result to a
-//! spinning waiter still costs one SeqCst load and no mutex traffic.
-
-use std::task::Waker;
+//! The cell keeps the fast path cheap: a waiter registers its handle
+//! once (at slot-lease claim) and only flips the `engaged` flag around
+//! an actual park, so publishing a result to a spinning waiter costs one
+//! SeqCst load and no mutex traffic.
 
 use crate::sync_shim::sync::atomic::{AtomicBool, Ordering};
 use crate::sync_shim::sync::Mutex;
 use crate::sync_shim::thread::Thread;
 
-/// Who to notify when a request slot is filled: the two ways a waiter
-/// can sleep.
-pub(crate) enum WaiterKind {
-    /// A parked OS thread — today's sync path, notified via `unpark`.
-    Thread(Thread),
-    /// An async task that returned `Pending` — notified via its
-    /// [`Waker`], handing the task back to whatever executor polls it.
-    Async(Waker),
-}
-
-impl WaiterKind {
-    /// Delivers the notification. Called by the combiner *after* it has
-    /// released the combiner lock, keeping unpark/wake side effects
-    /// (futex syscalls, executor queue pushes) out of the critical
-    /// section.
-    pub(crate) fn notify(self) {
-        match self {
-            WaiterKind::Thread(thread) => thread.unpark(),
-            WaiterKind::Async(waker) => waker.wake(),
-        }
-    }
-}
-
-impl std::fmt::Debug for WaiterKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WaiterKind::Thread(thread) => f.debug_tuple("Thread").field(&thread.id()).finish(),
-            WaiterKind::Async(_) => f.debug_tuple("Async").finish(),
-        }
-    }
-}
-
 /// One slot's wait/notify state: the `engaged` flag the Dekker handshake
-/// runs on, plus the registered waiter to notify.
+/// runs on, plus the registered thread to unpark.
 ///
 /// The flag and the slot's `state` field (owned by
 /// [`slots::RequestSlot`](crate::slots)) form the two-sided SeqCst
 /// handshake: a waiter *engages* (stores the flag) then re-checks the
-/// slot state before sleeping; the combiner fills the state then loads
+/// slot state before parking; the combiner fills the state then loads
 /// the flag. Sequential consistency on all four accesses means at least
 /// one side observes the other — either the waiter sees its result and
-/// never sleeps, or the combiner sees the flag and notifies.
+/// never parks, or the combiner sees the flag and unparks it.
 #[derive(Debug)]
 pub(crate) struct WaitCell {
-    /// `true` while a waiter is (about to be) asleep on this slot. For
-    /// thread waiters this brackets the park exactly; for async waiters
-    /// it is set for as long as a waker is registered.
+    /// `true` while the waiter is (about to be) parked on this slot;
+    /// brackets the park exactly.
     engaged: AtomicBool,
-    /// The registered waiter. Thread handles persist across requests
-    /// (written at lease claim, cleared at lease release); wakers are
-    /// re-registered on every poll and consumed by the notification.
-    waiter: Mutex<Option<WaiterKind>>,
+    /// The registered waiter's handle. Written at lease claim, cleared
+    /// at lease release; it persists across the lease's requests.
+    waiter: Mutex<Option<Thread>>,
 }
 
 impl WaitCell {
@@ -89,32 +46,22 @@ impl WaitCell {
         }
     }
 
-    /// Registers the calling thread as this cell's waiter. Sync path,
-    /// called once at slot-lease claim; the handle stays registered for
-    /// the lease's lifetime and `engage`/`disengage` bracket each park.
+    /// Registers the calling thread as this cell's waiter. Called once
+    /// at slot-lease claim; the handle stays registered for the lease's
+    /// lifetime and `engage`/`disengage` bracket each park.
     pub(crate) fn install_thread(&self) {
         *self.waiter.lock().expect("combiner waiter poisoned") =
-            Some(WaiterKind::Thread(crate::sync_shim::thread::current()));
+            Some(crate::sync_shim::thread::current());
     }
 
-    /// Registers `waker` as this cell's waiter and engages the cell.
-    /// Async path, called on every poll that is about to return
-    /// `Pending` — the caller must re-check the slot state *after* this
-    /// returns (the waiter half of the Dekker handshake).
-    pub(crate) fn install_waker(&self, waker: &Waker) {
-        *self.waiter.lock().expect("combiner waiter poisoned") =
-            Some(WaiterKind::Async(waker.clone()));
-        self.engaged.store(true, Ordering::SeqCst);
-    }
-
-    /// Flags the calling (thread) waiter as about to park. The caller
-    /// must re-check the slot state after this store and skip the park
-    /// if the slot was filled meanwhile.
+    /// Flags the waiter as about to park. The caller must re-check the
+    /// slot state after this store and skip the park if the slot was
+    /// filled meanwhile.
     pub(crate) fn engage(&self) {
         self.engaged.store(true, Ordering::SeqCst);
     }
 
-    /// Clears the park flag after a (thread) waiter wakes.
+    /// Clears the park flag after the waiter wakes.
     ///
     /// Release (not Relaxed): the combiner's SeqCst flag load may read
     /// this store, and a Release/SeqCst pair gives that read a
@@ -125,7 +72,7 @@ impl WaitCell {
         self.engaged.store(false, Ordering::Release);
     }
 
-    /// Drops any registered waiter and disengages — the slot is being
+    /// Drops the registered waiter and disengages — the slot is being
     /// released back to the unclaimed pool. Release for the same reason
     /// as [`disengage`](Self::disengage).
     pub(crate) fn clear(&self) {
@@ -134,48 +81,25 @@ impl WaitCell {
     }
 
     /// The combiner half of the handshake: called *after* the slot's
-    /// state store (SeqCst), returns the waiter to notify if one is
-    /// engaged. Thread handles are cloned (the lease keeps them
-    /// registered for the next request); wakers are consumed (a waker
-    /// is good for one wake, the task re-registers on its next poll).
+    /// state store (SeqCst), returns the thread to unpark if one is
+    /// engaged. The handle is cloned: the lease keeps it registered for
+    /// the next request.
     ///
     /// A `None` here is never a lost wakeup: the waiter either had not
     /// engaged yet — in which case its post-engage state re-check (also
     /// SeqCst) is ordered after the combiner's state store and sees the
-    /// result — or was a thread that already woke and disengaged.
-    pub(crate) fn take_notification(&self) -> Option<WaiterKind> {
+    /// result — or already woke and disengaged.
+    pub(crate) fn take_notification(&self) -> Option<Thread> {
         if !self.engaged.load(Ordering::SeqCst) {
             return None;
         }
-        let mut waiter = self.waiter.lock().expect("combiner waiter poisoned");
-        match &*waiter {
-            Some(WaiterKind::Thread(thread)) => Some(WaiterKind::Thread(thread.clone())),
-            Some(WaiterKind::Async(_)) => {
-                // One-shot: consume the waker and disengage so a stale
-                // registration is never woken twice. The future's next
-                // poll re-installs before it returns `Pending` again.
-                self.engaged.store(false, Ordering::Release);
-                waiter.take()
-            }
-            None => None,
-        }
+        self.waiter.lock().expect("combiner waiter poisoned").clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
-    use std::task::Wake;
-
-    struct CountingWaker(AtomicUsize);
-
-    impl Wake for CountingWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
 
     #[test]
     fn thread_waiters_persist_across_notifications() {
@@ -183,33 +107,12 @@ mod tests {
         cell.install_thread();
         assert!(cell.take_notification().is_none(), "not engaged: no wakeup");
         cell.engage();
-        assert!(matches!(
-            cell.take_notification(),
-            Some(WaiterKind::Thread(_))
-        ));
+        assert!(cell.take_notification().is_some());
         // The handle is cloned, not consumed: a second notification
         // (next request, same lease) still finds it.
-        assert!(matches!(
-            cell.take_notification(),
-            Some(WaiterKind::Thread(_))
-        ));
+        assert!(cell.take_notification().is_some());
         cell.disengage();
         assert!(cell.take_notification().is_none());
-    }
-
-    #[test]
-    fn async_wakers_are_consumed_by_the_notification() {
-        let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&counter));
-        let cell = WaitCell::new();
-        cell.install_waker(&waker);
-        let notification = cell.take_notification().expect("engaged waker");
-        notification.notify();
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-        assert!(
-            cell.take_notification().is_none(),
-            "wakers are one-shot: consumed with the notification"
-        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`service`] — the **recommended entry point**: a unified,
 //!   thread-safe acquire/release API (`NameService`, RAII `NameGuard`,
-//!   `Namespace` backends, and `AsyncNameService` for runtime-free
-//!   `acquire().await`) over every algorithm below.
+//!   batch `acquire_many`, `Namespace` backends) over every algorithm
+//!   below.
 //! * [`net`] — the wire front-end: a length-prefixed binary protocol,
 //!   the `renaming-server` TCP server (per-connection sessions, RAII
 //!   release over the wire, a JSON `Stats` endpoint), a blocking
@@ -82,8 +82,8 @@ pub use renaming_tas as tas;
 pub mod prelude {
     pub use renaming_core::{Epsilon, Name, RenamingError};
     pub use renaming_service::{
-        AcquireFuture, AcquireMode, Algorithm, AsyncNameGuard, AsyncNameService, HistoryReport,
-        NameGuard, NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, PoolKind,
-        SeedPolicy, TasBackend, Violation, WorkerCounts,
+        AcquireMode, Algorithm, HistoryReport, NameGuard, NameService, NameServiceBuilder,
+        Namespace, Oracle, OracleVerdict, PoolKind, SeedPolicy, TasBackend, Violation,
+        WorkerCounts,
     };
 }

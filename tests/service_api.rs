@@ -431,14 +431,13 @@ fn acquire_many_records_metrics_and_a_clean_oracle_history() {
 /// overflow threads exercise the direct fallback too). The live
 /// occupancy table inside `churn` proves no two overlapping holds ever
 /// share a name, and the conservation law proves the batch sweeps leak
-/// no pooled sessions.
+/// no pooled sessions. Every backend runs, the baselines' batch sweeps
+/// included.
 #[test]
 fn combining_churn_is_unique_and_recycles() {
-    for algorithm in [
-        Algorithm::Rebatching,
-        Algorithm::Adaptive,
-        Algorithm::FastAdaptive,
-    ] {
+    for algorithm in Algorithm::all() {
+        // Linear scan: optimal namespace => heavier contention; fewer spins.
+        let iterations = if algorithm == Algorithm::LinearScan { 50 } else { 200 };
         let threads = 16;
         let service = NameService::builder(algorithm, threads)
             .acquire_mode(AcquireMode::Combining)
@@ -447,7 +446,7 @@ fn combining_churn_is_unique_and_recycles() {
             .build()
             .expect("build");
         assert_eq!(service.acquire_mode(), AcquireMode::Combining);
-        churn(&service, threads, 200);
+        churn(&service, threads, iterations);
     }
 }
 
@@ -555,25 +554,29 @@ fn mutex_pool_still_serves_concurrent_churn() {
 
 #[test]
 fn namespace_exhaustion_is_an_error_not_a_panic() {
-    let service = NameService::builder(Algorithm::Rebatching, 2)
-        .seed_policy(SeedPolicy::Fixed(5))
-        .build()
-        .expect("build");
-    let mut guards = Vec::new();
-    // Fill the whole (1+ε)n namespace, then one more must error.
-    for _ in 0..service.namespace_size() {
-        guards.push(service.acquire().expect("namespace not yet full"));
-    }
-    let err = service.acquire().unwrap_err();
-    assert_eq!(
-        err,
-        RenamingError::NamespaceExhausted {
-            namespace: service.namespace_size()
+    for mode in [AcquireMode::Direct, AcquireMode::Combining] {
+        let service = NameService::builder(Algorithm::Rebatching, 2)
+            .acquire_mode(mode)
+            .seed_policy(SeedPolicy::Fixed(5))
+            .build()
+            .expect("build");
+        let mut guards = Vec::new();
+        // Fill the whole (1+ε)n namespace, then one more must error.
+        for _ in 0..service.namespace_size() {
+            guards.push(service.acquire().expect("namespace not yet full"));
         }
-    );
-    drop(guards);
-    // After draining, acquisition works again.
-    assert!(service.acquire().is_ok());
+        let err = service.acquire().unwrap_err();
+        assert_eq!(
+            err,
+            RenamingError::NamespaceExhausted {
+                namespace: service.namespace_size()
+            },
+            "{mode:?}"
+        );
+        drop(guards);
+        // After draining, acquisition works again.
+        assert!(service.acquire().is_ok(), "{mode:?}");
+    }
 }
 
 /// Tournament-substrate churn: the mirror of `stress` on
